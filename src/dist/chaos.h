@@ -21,10 +21,13 @@ struct ChaosOptions {
   // connection drop mid-lease and must retry the shard elsewhere.
   std::ptrdiff_t kill_on_assignment = -1;
 
-  // Stop sending heartbeats from the Nth assignment on, while the shard
-  // child keeps computing: the lease expires on a live worker. The
+  // Send no heartbeats for the Nth assignment while the shard child keeps
+  // computing, and hold its finished result until two leases have passed:
+  // the lease expires on a live worker however fast the shard runs. The
   // coordinator must revoke + retry, and later drop this worker's
   // out-of-lease (stale) result instead of double-counting the shard.
+  // Only the Nth is muted, so a retry that lands on this worker again
+  // completes.
   std::ptrdiff_t mute_heartbeats_on = -1;
 
   // Truncate the Nth result's payload to half before sending (framing

@@ -172,11 +172,14 @@ Outcome run_assignment(WorkerState& ws, const WorkerOptions& opts,
   const int res_r = res_pipe[0];
   std::string result_text;
   bool child_eof = false;
-  const bool mute_hb =
-      opts.chaos.mute_heartbeats_on >= 0 &&
-      static_cast<std::uint64_t>(opts.chaos.mute_heartbeats_on) <=
-          ws.assignments;
+  const bool mute_hb = opts.chaos.mute_heartbeats_on ==
+                       static_cast<std::ptrdiff_t>(ws.assignments);
   double next_hb = now_seconds() + ws.hb_interval;
+  // A muted worker also holds its finished result for two leases (the
+  // coordinator heartbeats at a third of the lease), so the lease lapses
+  // and the result arrives stale however fast the shard ran.
+  const double hold_until = now_seconds() + 6.0 * ws.hb_interval;
+  bool holding = false;
   Outcome out = Outcome::kDone;
   bool done = false;
 
@@ -184,7 +187,8 @@ Outcome run_assignment(WorkerState& ws, const WorkerOptions& opts,
     pollfd pfds[2];
     pfds[0] = {ws.fd, POLLIN, 0};
     pfds[1] = {res_r, POLLIN, 0};
-    const double wait = next_hb - now_seconds();
+    const double wait =
+        (holding ? std::min(next_hb, hold_until) : next_hb) - now_seconds();
     int rc = poll(pfds, child_eof ? 1 : 2,
                   wait <= 0 ? 0 : static_cast<int>(wait * 1000) + 1);
     if (rc < 0 && errno != EINTR) {
@@ -198,6 +202,12 @@ Outcome run_assignment(WorkerState& ws, const WorkerOptions& opts,
         out = Outcome::kConnLost;
         break;
       }
+    }
+    if (holding && now_seconds() >= hold_until) {
+      if (!send_result(ws, opts, a.shard_id, std::move(result_text))) {
+        out = Outcome::kConnLost;
+      }
+      break;
     }
     if (rc <= 0) continue;
 
@@ -248,6 +258,10 @@ Outcome run_assignment(WorkerState& ws, const WorkerOptions& opts,
         child = -1;
         bool ok = WIFEXITED(status) && WEXITSTATUS(status) == 0 &&
                   !result_text.empty();
+        if (ok && mute_hb) {
+          holding = true;  // sent once hold_until passes (see above)
+          continue;
+        }
         if (ok) {
           if (!send_result(ws, opts, a.shard_id, std::move(result_text))) {
             out = Outcome::kConnLost;

@@ -1,4 +1,4 @@
-// Cooperative fibers built on ucontext.
+// Cooperative fibers with a register-only context switch.
 //
 // The model checker needs full control over thread interleaving: every
 // modeled thread runs as a fiber that yields to the scheduler at each
@@ -17,10 +17,28 @@
 // engine's crash containment turns that fault into a diagnosed violation
 // (see guard_contains()). When mmap is unavailable the stack falls back to
 // a plain heap allocation without a guard.
+//
+// On x86-64 a switch saves and restores only what the psABI makes
+// callee-saved (rbx, rbp, r12-r15, rsp, the MXCSR and the x87 control
+// word), so it never enters the kernel; reset() writes the fiber's first
+// frame straight onto its stack. Other architectures fall back to
+// getcontext/makecontext/swapcontext, which also swap the signal mask.
+// Under AddressSanitizer every switch is announced through
+// __sanitizer_start_switch_fiber/__sanitizer_finish_switch_fiber.
 #ifndef CDS_FIBER_FIBER_H
 #define CDS_FIBER_FIBER_H
 
+#if !defined(__x86_64__)
 #include <ucontext.h>
+#endif
+
+#if defined(__SANITIZE_ADDRESS__)
+#define CDS_FIBER_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define CDS_FIBER_ASAN 1
+#endif
+#endif
 
 #include <cstddef>
 #include <functional>
@@ -36,9 +54,9 @@ class Fiber {
 
   Fiber() = default;
   ~Fiber();
-  // Not movable: glibc's ucontext_t stores an internal self-pointer
-  // (uc_mcontext.fpregs aims into the struct), so a Fiber must stay at a
-  // stable address once reset() has run. Hold fibers by unique_ptr.
+  // Not movable: a started fiber's own frames refer to it by address (the
+  // trampoline's `self`), so a Fiber must stay at a stable address once
+  // reset() has run. Hold fibers by unique_ptr.
   Fiber(const Fiber&) = delete;
   Fiber& operator=(const Fiber&) = delete;
   Fiber(Fiber&&) = delete;
@@ -78,11 +96,31 @@ class Fiber {
   // aborts, as a returned fiber has no context to resume.
   static void set_fallthrough_handler(void (*handler)(Fiber&));
 
+  // Call on a fiber right after a siglongjmp carried control back onto its
+  // stack from another fiber's (the engine's crash path), since no
+  // switch_to announced that move. Tells ASan which stack is live again
+  // and drops the abandoned fiber's fake stack; a no-op in other builds.
+  void resumed_by_longjmp();
+
  private:
   static void trampoline();
   void allocate_stack();
+  // Bookkeeping shared by every entry into a fiber, first or resumed.
+  void on_switched_in();
 
+#if defined(__x86_64__)
+  void* sp_ = nullptr;  // saved stack pointer while switched out
+#else
   ucontext_t ctx_{};
+#endif
+#if defined(CDS_FIBER_ASAN)
+  // The stack ASan is told about on a switch into this fiber (learned on
+  // the first switch out for the native fiber) and the fake stack it
+  // parks while this fiber is switched out.
+  const void* asan_bottom_ = nullptr;
+  std::size_t asan_size_ = 0;
+  void* asan_fake_ = nullptr;
+#endif
   // mmap'd region: [map_, map_ + guard_bytes_) is the PROT_NONE guard,
   // [map_ + guard_bytes_, map_ + map_bytes_) the usable stack (grows down
   // toward the guard). Null when the heap fallback is in use.

@@ -32,9 +32,14 @@ Engine* g_engine = nullptr;
 //
 // The handler runs on a dedicated sigaltstack so that a fiber-stack
 // overflow (whose own stack is unusable, by definition) can still be
-// caught. sigsetjmp(.., 1) saves the signal mask, so the siglongjmp also
-// unblocks the signal being handled.
+// caught. The window is armed with sigsetjmp(.., 0): saving the mask would
+// cost a syscall on every scheduling step. Whatever the handler's entry
+// blocked (the delivered signal; every signal under TSan's wrapper) thus
+// stays blocked across the siglongjmp, and contain_crash restores the mask
+// saved when the handlers were installed: the mask is restored only on
+// the (rare) crash path.
 sigjmp_buf g_crash_jmp;
+sigset_t g_crash_mask;
 volatile sig_atomic_t g_crash_armed = 0;
 volatile sig_atomic_t g_crash_sig = 0;
 void* volatile g_crash_addr = nullptr;
@@ -346,6 +351,7 @@ void Engine::install_crash_handlers() {
   for (int i = 0; i < kNumCrashSignals; ++i) {
     ::sigaction(kCrashSignals[i], &sa, &g_old_actions[i]);
   }
+  ::sigprocmask(SIG_BLOCK, nullptr, &g_crash_mask);
   g_crash_armed = 0;
   crash_handlers_active_ = true;
 }
@@ -367,6 +373,8 @@ void Engine::restore_crash_handlers() {
 }
 
 void Engine::contain_crash(int sig, const void* addr) {
+  ::sigprocmask(SIG_SETMASK, &g_crash_mask, nullptr);
+  sched_fiber_.resumed_by_longjmp();
   std::ostringstream d;
   d << "test body crashed with " << signal_name(sig) << " on modeled thread T"
     << current_;
@@ -941,7 +949,7 @@ void Engine::run_one(const TestFn& test) {
       // and the fiber's switch back. A fatal signal inside it siglongjmps
       // here (onto the scheduler's native stack, abandoning the fiber) and
       // becomes a kCrash violation instead of killing the process.
-      if (sigsetjmp(g_crash_jmp, 1) == 0) {
+      if (sigsetjmp(g_crash_jmp, 0) == 0) {
         g_crash_armed = 1;
         fib.switch_to(sched_fiber_);
         g_crash_armed = 0;

@@ -356,11 +356,12 @@ class Engine : public harness::Backend {
 
   // Signal-to-verdict containment (see Config::contain_crashes): handlers
   // live for the duration of explore()/replay(); run_one arms a sigsetjmp
-  // window around each switch into a test fiber.
+  // window (no saved mask) around each switch into a test fiber.
   void install_crash_handlers();
   void restore_crash_handlers();
-  // Builds the kCrash violation for a fault caught in the armed window and
-  // marks the execution's outcome. `sig`/`addr` come from the handler.
+  // Restores the signal mask the handler's entry changed, then builds the
+  // kCrash violation for a fault caught in the armed window and marks the
+  // execution's outcome. `sig`/`addr` come from the handler.
   void contain_crash(int sig, const void* addr);
 
   // Assembles and atomically writes a checkpoint (no-op when

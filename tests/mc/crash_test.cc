@@ -80,6 +80,46 @@ TEST(Crash, ContainmentIsReentrantAcrossExplorations) {
   }
 }
 
+// The containment window saves no signal mask, so the crash path alone
+// must undo what the handler's entry blocked: after a contained crash the
+// thread's mask equals the one before explore(), and a second crash of the
+// same kind in the same process is caught again.
+bool same_mask(const sigset_t& a, const sigset_t& b) {
+  for (int s = 1; s < NSIG; ++s) {
+    if (sigismember(&a, s) != sigismember(&b, s)) return false;
+  }
+  return true;
+}
+
+TEST(Crash, SignalMaskIsRestoredAndTheSameCrashIsContainedAgain) {
+  struct Case {
+    const char* name;
+    void (*body)(mc::Exec&);
+  };
+  const Case cases[] = {
+      {"SIGSEGV", [](mc::Exec&) { raise(SIGSEGV); }},
+      {"SIGFPE", [](mc::Exec&) { raise(SIGFPE); }},
+      {"SIGABRT",
+       [](mc::Exec& x) {
+         int t = x.spawn([] { std::abort(); });
+         x.join(t);
+       }},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    sigset_t before;
+    ASSERT_EQ(pthread_sigmask(SIG_BLOCK, nullptr, &before), 0);
+    for (int round = 0; round < 2; ++round) {
+      mc::Engine e;
+      mc::ExplorationStats stats = e.explore(c.body);
+      expect_single_crash(stats, e, c.name);
+      sigset_t after;
+      ASSERT_EQ(pthread_sigmask(SIG_BLOCK, nullptr, &after), 0);
+      EXPECT_TRUE(same_mask(before, after)) << "round " << round;
+    }
+  }
+}
+
 // A crash that depends on an observed value: only the execution where the
 // load reads the spawned thread's store crashes, so the violation's trail
 // pins one specific schedule + reads-from choice sequence.

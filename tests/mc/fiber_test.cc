@@ -1,6 +1,8 @@
 // Direct tests of the cooperative fiber substrate.
 #include <gtest/gtest.h>
 
+#include <cfenv>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -117,6 +119,116 @@ TEST(Fiber, FallthroughHandlerRecovers) {
   EXPECT_EQ(g_fallthrough_hits, 1);
   EXPECT_TRUE(f->finished());
   Fiber::set_fallthrough_handler(nullptr);  // Engine reinstalls its own
+}
+
+// The switch hand-builds each fiber's first frame, so the entry function
+// must still see the alignment a call gives: a 16-byte-aligned frame and
+// correctly aligned over-aligned locals, on a fresh and on a reset fiber.
+TEST(Fiber, EntryFrameIsAligned) {
+  Fiber sched;
+  sched.init_native();
+  auto f = std::make_unique<Fiber>();
+  for (int run = 0; run < 2; ++run) {
+    std::uintptr_t frame = 1;
+    std::uintptr_t local = 1;
+    f->reset([&] {
+      alignas(32) volatile char buf[32];
+      buf[0] = 0;
+      frame = reinterpret_cast<std::uintptr_t>(__builtin_frame_address(0));
+      local = reinterpret_cast<std::uintptr_t>(&buf[0]);
+      f->mark_finished();
+      sched.switch_to(*f);
+    });
+    f->switch_to(sched);
+    EXPECT_EQ(frame % 16, 0u) << "run " << run;
+    EXPECT_EQ(local % 32, 0u) << "run " << run;
+  }
+}
+
+// Six values live across a switch on each side, more than the caller-saved
+// registers that survive a call, so at -O2 both sides keep them in
+// callee-saved registers; a switch that drops one hands the other side's
+// value back.
+[[gnu::noinline]] std::uint64_t hold_across_switch(Fiber& to, Fiber& from,
+                                                   std::uint64_t seed) {
+  volatile std::uint64_t src = seed;
+  std::uint64_t a = src * 3, b = src * 5, c = src * 7, d = src * 11,
+                e = src * 13, g = src * 17;
+  // Opaque to the optimiser on both sides of the switch, so the six values
+  // themselves (not `src`, to recompute them from) stay live across it.
+  asm volatile("" : "+r"(a), "+r"(b), "+r"(c), "+r"(d), "+r"(e), "+r"(g));
+  to.switch_to(from);
+  asm volatile("" : "+r"(a), "+r"(b), "+r"(c), "+r"(d), "+r"(e), "+r"(g));
+  const bool kept = a == seed * 3 && b == seed * 5 && c == seed * 7 &&
+                    d == seed * 11 && e == seed * 13 && g == seed * 17;
+  return kept ? 0 : 1;
+}
+
+TEST(Fiber, CalleeSavedRegistersSurviveSwitches) {
+  Fiber sched;
+  sched.init_native();
+  auto f = std::make_unique<Fiber>();
+  std::uint64_t fiber_lost = 0;
+  f->reset([&] {
+    for (std::uint64_t i = 0; i < 4; ++i) {
+      fiber_lost += hold_across_switch(sched, *f, 0x1111 + i);
+    }
+    f->mark_finished();
+    sched.switch_to(*f);
+  });
+  std::uint64_t sched_lost = 0;
+  for (std::uint64_t i = 0; i < 5; ++i) {
+    sched_lost += hold_across_switch(*f, sched, 0x7777 + i);
+  }
+  EXPECT_TRUE(f->finished());
+  EXPECT_EQ(fiber_lost, 0u);
+  EXPECT_EQ(sched_lost, 0u);
+}
+
+// One division through SSE and one through the x87 unit: each follows the
+// rounding mode of the control register it reads (MXCSR or the x87 control
+// word), and 1/3 is inexact, so upward and downward results differ.
+[[gnu::noinline]] double third() {
+  volatile double one = 1.0, three = 3.0;
+  return one / three;
+}
+[[gnu::noinline]] long double third_x87() {
+  volatile long double one = 1.0L, three = 3.0L;
+  return one / three;
+}
+
+TEST(Fiber, RoundingModeStaysWithItsFiber) {
+  ASSERT_EQ(std::fegetround(), FE_TONEAREST);
+  Fiber sched;
+  sched.init_native();
+  auto f = std::make_unique<Fiber>();
+  int fiber_mode = -1;
+  bool fiber_sse_kept = false;
+  bool fiber_x87_kept = false;
+  f->reset([&] {
+    std::fesetround(FE_UPWARD);
+    const double up = third();
+    const long double up_x87 = third_x87();
+    sched.switch_to(*f);  // the scheduler resumes us in FE_DOWNWARD
+    fiber_mode = std::fegetround();
+    fiber_sse_kept = third() == up;
+    fiber_x87_kept = third_x87() == up_x87;
+    f->mark_finished();
+    sched.switch_to(*f);
+  });
+  f->switch_to(sched);
+  EXPECT_EQ(std::fegetround(), FE_TONEAREST) << "fiber's mode leaked out";
+  std::fesetround(FE_DOWNWARD);
+  const double down = third();
+  const long double down_x87 = third_x87();
+  f->switch_to(sched);
+  EXPECT_EQ(std::fegetround(), FE_DOWNWARD);
+  EXPECT_EQ(third(), down);
+  EXPECT_EQ(third_x87(), down_x87);
+  std::fesetround(FE_TONEAREST);
+  EXPECT_EQ(fiber_mode, FE_UPWARD) << "scheduler's mode leaked in";
+  EXPECT_TRUE(fiber_sse_kept);
+  EXPECT_TRUE(fiber_x87_kept);
 }
 
 }  // namespace
