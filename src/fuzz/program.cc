@@ -271,11 +271,13 @@ mc::TestFn Program::test_fn(std::vector<std::uint64_t>* obs) const {
         }
       }
     };
-    std::vector<int> tids;
+    // A bounded array, not a vector: an execution abandoned mid-body never
+    // unwinds this fiber stack, so a heap-owning local would leak.
+    int tids[kMaxThreads] = {};
     for (std::size_t t = 0; t < p.ops.size(); ++t) {
-      tids.push_back(x.spawn([&run_thread, t] { run_thread(t); }));
+      tids[t] = x.spawn([&run_thread, t] { run_thread(t); });
     }
-    for (int tid : tids) x.join(tid);
+    for (std::size_t t = 0; t < p.ops.size(); ++t) x.join(tids[t]);
   };
 }
 

@@ -137,7 +137,7 @@ const ThreadMMState& Engine::mm(int tid) const {
 }
 
 const char* Engine::location_name(std::uint32_t loc) const {
-  return loc < locs_.size() ? locs_[loc].name : "?";
+  return loc < nlocs_ ? locs_[loc].name : "?";
 }
 
 spec::Recorder* Engine::recorder() {
@@ -246,22 +246,17 @@ double Engine::seconds_since_start() const {
 
 std::size_t Engine::memory_usage_estimate() const {
   std::size_t bytes = arena_.bytes_reserved();
+  // Recycled locations still hold their capacity, so all of locs_ counts.
   for (const Location& L : locs_) {
     bytes += L.history.capacity() * sizeof(Message);
-    // Each message's `sync` Timestamps owns two heap vectors (vector clock
-    // + coherence view); on release-sequence-heavy histories those
-    // dominate sizeof(Message), so omitting them used to let such
-    // workloads blow far past the memory budget before it tripped. Ditto
-    // the live release-sequence heads.
-    for (const Message& m : L.history) {
-      bytes += (m.sync.vc.stored_size() + m.sync.view.stored_size()) *
-               sizeof(std::uint32_t);
-    }
+    // A message's `sync` clocks are inline in sizeof(Message) until they
+    // spill; spilled storage dominates on release-sequence-heavy histories
+    // with wide views, and omitting it used to let such workloads blow far
+    // past the memory budget before it tripped. Ditto the live
+    // release-sequence heads.
+    for (const Message& m : L.history) bytes += m.sync.heap_bytes();
     bytes += L.rs_heads.capacity() * sizeof(ReleaseSeqHead);
-    for (const ReleaseSeqHead& h : L.rs_heads) {
-      bytes += (h.sync.vc.stored_size() + h.sync.view.stored_size()) *
-               sizeof(std::uint32_t);
-    }
+    for (const ReleaseSeqHead& h : L.rs_heads) bytes += h.sync.heap_bytes();
   }
   bytes += trace_.capacity() * sizeof(TraceEvent);
   bytes += trail_.raw().capacity() * sizeof(Choice);
@@ -742,7 +737,7 @@ bool Engine::replay(const std::vector<Choice>& saved, const TestFn& test,
 }
 
 void Engine::reset_execution_state() {
-  locs_.clear();
+  nlocs_ = 0;
   sc_view_.clear();
   sc_counter_ = 0;
   for (int i = 0; i < spawned_; ++i) {
@@ -794,10 +789,10 @@ void Engine::run_one(const TestFn& test) {
 
   // Sized from spawned_, not a fixed cap: a hard `enabled[64]` here once
   // silently dropped runnable threads 65+, making exploration incomplete
-  // with no diagnostic. Hoisted out of the loop so the per-step cost is a
-  // clear(), not an allocation.
-  std::vector<int> enabled;
-  std::vector<int> cands;
+  // with no diagnostic. Engine members, so the per-step cost is a clear(),
+  // not an allocation.
+  std::vector<int>& enabled = enabled_;
+  std::vector<int>& cands = cands_;
   for (;;) {
     enabled.clear();
     enabled.reserve(static_cast<std::size_t>(spawned_));
@@ -998,7 +993,32 @@ bool Engine::conflicts(const PendingOp& a, const PendingOp& b) {
 
 void Engine::park(PendingOp op) {
   cur().pending = op;
-  switch_to_scheduler();
+  // Switch-free invisible step. The scheduler picks the lowest-tid runnable
+  // thread parked at an internal op before anything else; if no lower tid
+  // has one pending, that pick is this thread, so the round trip through
+  // the scheduler would only hand control straight back. Its bookkeeping
+  // for that pick is to count the step and erase the sleep entries the
+  // pick wakes: this thread's own (already erased when the scheduler last
+  // picked it; only the scheduler adds entries) and those conflicting with
+  // an internal op (none). So counting the step is all that is left. The
+  // step that would exceed max_steps and every 64th step (the budget
+  // check) still take the scheduler path, which handles them.
+  if (op.cls != PendingOp::Class::kInternal) {
+    switch_to_scheduler();
+    return;
+  }
+  const std::uint64_t step = steps_ + 1;
+  bool inline_pick = step <= cfg_.max_steps && (step & 63u) != 0;
+  for (int i = 0; inline_pick && i < current_; ++i) {
+    const Thread& u = threads_[static_cast<std::size_t>(i)];
+    inline_pick = !(u.status == ThreadStatus::kRunnable &&
+                    u.pending.cls == PendingOp::Class::kInternal);
+  }
+  if (!inline_pick) {
+    switch_to_scheduler();
+    return;
+  }
+  steps_ = step;
 }
 
 void Engine::switch_to_scheduler() {
@@ -1112,14 +1132,18 @@ std::uint32_t Engine::new_location(const char* name, bool initialized,
   if (g_engine != this || current_ < 0) {
     fatal("Atomic/Var constructed outside a modeled execution");
   }
-  auto id = static_cast<std::uint32_t>(locs_.size());
-  locs_.emplace_back(name);
+  const std::uint32_t id = nlocs_++;
+  if (id < locs_.size()) {
+    locs_[id].reset(name);
+  } else {
+    locs_.emplace_back(name);
+  }
   Message init;
   init.value = init_value;
   init.timestamp = 0;
   init.writer = -1;
   init.uninit = !initialized;
-  locs_.back().history.push_back(std::move(init));
+  locs_[id].history.push_back(std::move(init));
   return id;
 }
 

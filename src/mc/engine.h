@@ -152,7 +152,7 @@ class Engine : public harness::Backend {
   // the locations of the execution being checked and the final (latest in
   // modification order) value of each. Valid from an execution listener.
   [[nodiscard]] std::uint32_t location_count() const override {
-    return static_cast<std::uint32_t>(locs_.size());
+    return nlocs_;
   }
   [[nodiscard]] std::uint64_t location_final_value(
       std::uint32_t loc) const override {
@@ -258,14 +258,16 @@ class Engine : public harness::Backend {
     MemoryOrder order = MemoryOrder::relaxed;
   };
 
+  // `status` and `pending` come first: they are all the per-step scheduler
+  // scan reads, so they share the slot's first cache line.
   struct Thread {
+    ThreadStatus status = ThreadStatus::kAbsent;
+    PendingOp pending;
     std::unique_ptr<fiber::Fiber> fib;
     ThreadMMState mm;
-    ThreadStatus status = ThreadStatus::kAbsent;
     int waiting_join = -1;
     const MutexState* waiting_mutex = nullptr;
     std::function<void()> body;
-    PendingOp pending;
   };
 
   // Sleep-set reduction (Godefroid): after a schedule alternative's subtree
@@ -286,7 +288,8 @@ class Engine : public harness::Backend {
   void reset_execution_state();
   // Parks the calling fiber at a visible-operation boundary, declaring the
   // operation it is about to perform; returns when the scheduler picks
-  // this thread again.
+  // this thread again. An invisible step the scheduler would hand straight
+  // back to the caller returns without switching (see park()).
   void park(PendingOp op);
   void block(ThreadStatus why);
   void switch_to_scheduler();
@@ -378,12 +381,19 @@ class Engine : public harness::Backend {
   int spawned_ = 0;
   int current_ = -1;
 
+  // Locations are recycled across executions: the first nlocs_ are live,
+  // the rest keep their history/rs_heads capacity for the next execution.
   std::vector<Location> locs_;
+  std::uint32_t nlocs_ = 0;
   support::View sc_view_;      // coherence propagated through seq_cst fences
   std::uint32_t sc_counter_ = 0;
 
   Trail trail_;
   std::vector<SleepEntry> sleep_;
+  // Per-step scheduler scratch (runnable threads; awake schedule
+  // candidates), reused so a step never allocates.
+  std::vector<int> enabled_;
+  std::vector<int> cands_;
   // Reads-from equivalence mode (cfg_.explore == ExploreMode::kRf): wait
   // bookkeeping for deferred loads, the per-class constraint cross-check,
   // and a wake scratch list. Under strengthen_to_sc every load is seq_cst,

@@ -45,8 +45,18 @@ struct ReleaseSeqHead {
   support::Timestamps sync;
 };
 
+// The engine recycles Location objects across executions (see
+// Engine::new_location), so `history` and `rs_heads` keep their capacity.
 struct Location {
   explicit Location(const char* nm) : name(nm) {}
+
+  void reset(const char* nm) {
+    name = nm;
+    history.clear();
+    sc_write_floor = 0;
+    sc_read_floor = 0;
+    rs_heads.clear();
+  }
 
   const char* name;
   std::vector<Message> history;

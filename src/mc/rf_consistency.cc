@@ -9,7 +9,9 @@ void RfConsistencyChecker::reset() {
   tid_of_.push_back(-1);  // event 0: the shared init pseudo-store
   edges_.clear();
   last_of_thread_.clear();
-  writes_at_.clear();
+  // Rows are cleared, not dropped, so they keep their storage; an empty
+  // row reads as a location with no recorded writes yet.
+  for (std::vector<std::uint32_t>& w : writes_at_) w.clear();
   last_sc_ = 0;
 }
 
@@ -55,18 +57,21 @@ void RfConsistencyChecker::on_read(int tid, std::uint32_t loc,
 
 void RfConsistencyChecker::on_fence(int tid) { (void)new_event(tid, true); }
 
-bool RfConsistencyChecker::validate(std::string* why) const {
+bool RfConsistencyChecker::validate(std::string* why) {
   const auto n = static_cast<std::uint32_t>(tid_of_.size());
-  std::vector<std::uint32_t> indegree(n, 0);
-  std::vector<std::uint32_t> head(n, 0xffffffffu);
-  std::vector<std::uint32_t> next(edges_.size(), 0xffffffffu);
+  std::vector<std::uint32_t>& indegree = indegree_;
+  std::vector<std::uint32_t>& head = head_;
+  std::vector<std::uint32_t>& next = next_;
+  std::vector<std::uint32_t>& ready = ready_;
+  indegree.assign(n, 0);
+  head.assign(n, 0xffffffffu);
+  next.assign(edges_.size(), 0xffffffffu);
+  ready.clear();
   for (std::size_t i = 0; i < edges_.size(); ++i) {
     ++indegree[edges_[i].to];
     next[i] = head[edges_[i].from];
     head[edges_[i].from] = static_cast<std::uint32_t>(i);
   }
-  std::vector<std::uint32_t> ready;
-  ready.reserve(n);
   for (std::uint32_t v = 0; v < n; ++v) {
     if (indegree[v] == 0) ready.push_back(v);
   }

@@ -41,7 +41,9 @@ class RfConsistencyChecker {
 
   // True iff the recorded constraint graph is acyclic, i.e. the class's
   // constraints admit a linearization. On failure `why` names the residue.
-  [[nodiscard]] bool validate(std::string* why) const;
+  // Works in member scratch, so it allocates only when the graph outgrows
+  // every earlier one.
+  [[nodiscard]] bool validate(std::string* why);
 
   [[nodiscard]] std::size_t event_count() const { return tid_of_.size(); }
   [[nodiscard]] std::size_t edge_count() const { return edges_.size(); }
@@ -64,6 +66,8 @@ class RfConsistencyChecker {
   // writes_at_[loc][ts] = event id of the store that produced message ts.
   std::vector<std::vector<std::uint32_t>> writes_at_;
   std::uint32_t last_sc_ = 0;  // most recent SC event, +1 (0 = none yet)
+  // validate() scratch: Kahn toposort state over the edge list.
+  std::vector<std::uint32_t> indegree_, head_, next_, ready_;
 };
 
 }  // namespace cds::mc

@@ -1,7 +1,8 @@
 #include "spec/annotations.h"
 
 #include <cassert>
-#include <string>
+#include <utility>
+#include <vector>
 
 #include "harness/backend.h"
 
@@ -17,9 +18,9 @@ void Recorder::set_current(Recorder* r) { g_recorder = r; }
 void Recorder::begin_execution(const void* backend_tag) {
   std::lock_guard<std::mutex> lock(mu_);
   engine_tag_ = backend_tag;
-  calls_.clear();
+  ncalls_ = 0;
   next_object_ = 0;
-  depth_.assign(depth_.size(), 0);
+  for (auto& slot : slots_) slot->depth = 0;
 }
 
 std::uint32_t Recorder::new_object() {
@@ -27,25 +28,36 @@ std::uint32_t Recorder::new_object() {
   return next_object_++;
 }
 
-int Recorder::enter(int tid) {
+Recorder::CallSlot* Recorder::enter(int tid) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (static_cast<std::size_t>(tid) >= depth_.size()) {
-    depth_.resize(static_cast<std::size_t>(tid) + 1, 0);
-  }
-  return depth_[static_cast<std::size_t>(tid)]++;
+  const auto t = static_cast<std::size_t>(tid);
+  while (slots_.size() <= t) slots_.push_back(std::make_unique<CallSlot>());
+  CallSlot& s = *slots_[t];
+  if (s.depth++ > 0) return nullptr;
+  // A fresh record that keeps the previous call's `ops` storage.
+  std::vector<OPEvent> ops = std::move(s.call.ops);
+  ops.clear();
+  s.call = CallRecord{};
+  s.call.thread = tid;
+  s.call.ops = std::move(ops);
+  s.potentials.clear();
+  return &s;
 }
 
 void Recorder::leave(int tid) {
   std::lock_guard<std::mutex> lock(mu_);
-  assert(static_cast<std::size_t>(tid) < depth_.size() &&
-         depth_[static_cast<std::size_t>(tid)] > 0);
-  --depth_[static_cast<std::size_t>(tid)];
-}
-
-void Recorder::commit(CallRecord rec) {
-  std::lock_guard<std::mutex> lock(mu_);
-  rec.id = static_cast<std::uint32_t>(calls_.size());
-  calls_.push_back(std::move(rec));
+  assert(static_cast<std::size_t>(tid) < slots_.size());
+  CallSlot& s = *slots_[static_cast<std::size_t>(tid)];
+  assert(s.depth > 0);
+  if (--s.depth > 0) return;
+  // Copy-assigning into a recycled record reuses its `ops` storage.
+  if (ncalls_ == calls_.size()) {
+    calls_.push_back(s.call);
+  } else {
+    calls_[ncalls_] = s.call;
+  }
+  calls_[ncalls_].id = static_cast<std::uint32_t>(ncalls_);
+  ++ncalls_;
 }
 
 Object::Object(const Specification& s) : spec_(&s) {
@@ -67,31 +79,28 @@ Method::Method(const Object& obj, const char* name,
   tid_ = b->current_thread();
   // Only the outermost API method call is recorded (Section 4.3: nested
   // API calls are internal calls).
-  int prev_depth = rec_->enter(tid_);
-  if (prev_depth > 0) return;
-  active_ = true;
-  call_.spec = spec_;
-  call_.object = obj.id();
-  call_.method = spec_->method_index(name);
-  assert(call_.method >= 0 && "method not declared in the specification");
-  call_.thread = tid_;
+  slot_ = rec_->enter(tid_);
+  if (slot_ == nullptr) return;
+  CallRecord& c = slot_->call;
+  c.spec = spec_;
+  c.object = obj.id();
+  c.method = spec_->method_index(name);
+  assert(c.method >= 0 && "method not declared in the specification");
   int i = 0;
   for (std::int64_t a : args) {
-    if (i < CallRecord::kMaxArgs) call_.args[i++] = a;
+    if (i < CallRecord::kMaxArgs) c.args[i++] = a;
   }
-  call_.nargs = i;
+  c.nargs = i;
 }
 
 Method::~Method() {
-  if (rec_ == nullptr) return;
-  rec_->leave(tid_);
-  if (active_) rec_->commit(std::move(call_));
+  if (rec_ != nullptr) rec_->leave(tid_);
 }
 
 std::int64_t Method::ret(std::int64_t v) {
-  if (active_) {
-    call_.c_ret = v;
-    call_.has_ret = true;
+  if (slot_ != nullptr) {
+    slot_->call.c_ret = v;
+    slot_->call.has_ret = true;
   }
   return v;
 }
@@ -99,31 +108,30 @@ std::int64_t Method::ret(std::int64_t v) {
 OPEvent Method::snapshot() const { return backend_->snapshot_op(tid_); }
 
 void Method::note_site(const char* kind, const std::source_location& loc) const {
-  if (spec_ == nullptr) return;
   // One spec "line" per distinct textual annotation site.
-  const_cast<Specification*>(spec_)->note_op_site(
-      std::string(kind) + "@" + loc.file_name() + ":" + std::to_string(loc.line()));
+  if (spec_ != nullptr) spec_->note_op_site(kind, loc.file_name(), loc.line());
 }
 
 void Method::op_define(std::source_location loc) {
   note_site("op_define", loc);
-  if (!active_) return;
-  call_.ops.push_back(snapshot());
+  if (slot_ == nullptr) return;
+  slot_->call.ops.push_back(snapshot());
 }
 
 void Method::potential_op(int label, std::source_location loc) {
   note_site("potential_op", loc);
-  if (!active_) return;
-  potentials_.emplace_back(label, snapshot());
+  if (slot_ == nullptr) return;
+  slot_->potentials.emplace_back(label, snapshot());
 }
 
 void Method::op_check(int label, std::source_location loc) {
   note_site("op_check", loc);
-  if (!active_) return;
-  for (auto it = potentials_.begin(); it != potentials_.end();) {
+  if (slot_ == nullptr) return;
+  auto& pots = slot_->potentials;
+  for (auto it = pots.begin(); it != pots.end();) {
     if (it->first == label) {
-      call_.ops.push_back(std::move(it->second));
-      it = potentials_.erase(it);
+      slot_->call.ops.push_back(it->second);
+      it = pots.erase(it);
     } else {
       ++it;
     }
@@ -132,17 +140,17 @@ void Method::op_check(int label, std::source_location loc) {
 
 void Method::op_clear(std::source_location loc) {
   note_site("op_clear", loc);
-  if (!active_) return;
-  call_.ops.clear();
-  potentials_.clear();
+  if (slot_ == nullptr) return;
+  slot_->call.ops.clear();
+  slot_->potentials.clear();
 }
 
 void Method::op_clear_define(std::source_location loc) {
   note_site("op_clear_define", loc);
-  if (!active_) return;
-  call_.ops.clear();
-  potentials_.clear();
-  call_.ops.push_back(snapshot());
+  if (slot_ == nullptr) return;
+  slot_->call.ops.clear();
+  slot_->potentials.clear();
+  slot_->call.ops.push_back(snapshot());
 }
 
 }  // namespace cds::spec

@@ -27,8 +27,11 @@
 
 #include <cstdint>
 #include <initializer_list>
+#include <memory>
 #include <mutex>
 #include <source_location>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "spec/call.h"
@@ -44,8 +47,23 @@ namespace cds::spec {
 // the stress backend commits arrive from concurrent real threads; under
 // the model checker all fibers share one OS thread and the lock is
 // uncontended. `calls()` is only valid between iterations (after joins).
+//
+// The recorder owns all per-call storage and reuses it across executions:
+// a per-thread slot holds the thread's in-flight outermost call, and
+// committed records are copied into recycled entries. A Method guard on a
+// fiber stack therefore owns no heap, which matters because a pruned or
+// abandoned execution never unwinds its fibers: the guard's destructor
+// never runs, and begin_execution simply resets the slots.
 class Recorder {
  public:
+  // The in-flight outermost call of one thread, plus its pending
+  // potential ordering points (@PotentialOP, awaiting @OPCheck).
+  struct CallSlot {
+    int depth = 0;  // API-call nesting depth of the slot's thread
+    CallRecord call;
+    std::vector<std::pair<int, OPEvent>> potentials;
+  };
+
   // The process-global recorder the model checker's SpecChecker arms
   // (annotations resolve their recorder through Backend::recorder(); the
   // engine forwards to this). Stress backends own private recorders.
@@ -60,19 +78,27 @@ class Recorder {
 
   std::uint32_t new_object();
 
-  // Per-thread API-call nesting (outermost-only recording).
-  [[nodiscard]] int enter(int tid);  // returns previous depth
+  // Per-thread API-call nesting (outermost-only recording). enter()
+  // returns the thread's slot, cleared for a new call, when this is the
+  // thread's outermost call, and nullptr for a nested one. The slot stays
+  // put while other threads enter (slots are individually allocated), so
+  // its owner may fill it without the lock. leave() commits the slot's
+  // call when the outermost call ends.
+  [[nodiscard]] CallSlot* enter(int tid);
   void leave(int tid);
 
-  void commit(CallRecord rec);
-
-  [[nodiscard]] const std::vector<CallRecord>& calls() const { return calls_; }
+  [[nodiscard]] std::span<const CallRecord> calls() const {
+    return {calls_.data(), ncalls_};
+  }
 
  private:
   const void* engine_tag_ = nullptr;
+  // The first ncalls_ entries are this execution's records; the rest are
+  // kept for reuse.
   std::vector<CallRecord> calls_;
+  std::size_t ncalls_ = 0;
   std::uint32_t next_object_ = 0;
-  std::vector<int> depth_;
+  std::vector<std::unique_ptr<CallSlot>> slots_;  // indexed by thread id
   std::mutex mu_;
 };
 
@@ -119,19 +145,19 @@ class Method {
   // @OPClearDefine: OPClear followed by OPDefine.
   void op_clear_define(std::source_location loc = std::source_location::current());
 
-  [[nodiscard]] bool active() const { return active_; }
+  [[nodiscard]] bool active() const { return slot_ != nullptr; }
 
  private:
   [[nodiscard]] OPEvent snapshot() const;
   void note_site(const char* kind, const std::source_location& loc) const;
 
+  // Pointers only: this guard lives on a fiber stack that may never unwind
+  // (see Recorder).
   Recorder* rec_ = nullptr;
   harness::Backend* backend_ = nullptr;
   const Specification* spec_ = nullptr;
   int tid_ = -1;
-  bool active_ = false;
-  CallRecord call_;
-  std::vector<std::pair<int, OPEvent>> potentials_;
+  Recorder::CallSlot* slot_ = nullptr;  // non-null iff this call records
 };
 
 }  // namespace cds::spec

@@ -1,7 +1,6 @@
 #include "spec/checker.h"
 
 #include <algorithm>
-#include <map>
 #include <sstream>
 
 #include "support/rng.h"
@@ -85,20 +84,22 @@ bool SpecChecker::on_execution_complete(mc::Engine& e) {
   if (m_execs_ != nullptr) m_execs_->add();
   // Group the execution's calls per object (composability, Section 3.2:
   // each object is checked against its own specification in isolation).
-  std::map<std::uint32_t, ObjectCalls> objects;
+  // Object ids are dense per execution, so objects_ is indexed by id and
+  // reused; objects are checked in increasing id order.
+  for (ObjectCalls& oc : objects_) oc.calls.clear();
   for (const CallRecord& c : recorder_.calls()) {
-    ObjectCalls& oc = objects[c.object];
+    if (c.object >= objects_.size()) objects_.resize(c.object + 1);
+    ObjectCalls& oc = objects_[c.object];
     oc.spec = c.spec;
     oc.calls.push_back(&c);
   }
-  for (auto& [id, oc] : objects) {
-    (void)id;
+  for (const ObjectCalls& oc : objects_) {
     // Composability (Section 3.2) makes each object's verdict independent,
     // so a violation on one object must not skip the spec checks for the
     // remaining objects in this execution. The engine's
     // stop_on_first_violation config and our caller decide when to stop
     // exploring; here we always finish the per-object sweep.
-    (void)check_object(e, oc);
+    if (!oc.calls.empty()) (void)check_object(e, oc);
   }
   return true;
 }
@@ -115,10 +116,12 @@ const std::vector<const CallRecord*>* SpecChecker::concurrent_of(
 bool SpecChecker::check_object(mc::Engine& e, const ObjectCalls& oc) {
   const auto n = oc.calls.size();
   if (n == 0) return true;
-  std::vector<std::vector<int>> succ = build_r_edges(oc.calls);
+  build_r_edges(oc.calls, succ_);
+  const std::vector<std::vector<int>>& succ = succ_;
 
   // Precompute concurrent(m) for every call (Section 3.1).
-  concurrent_.assign(n, {});
+  if (concurrent_.size() < n) concurrent_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) concurrent_[i].clear();
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < n; ++j) {
       if (i == j) continue;
@@ -263,8 +266,10 @@ bool SpecChecker::check_justifications(mc::Engine& e, const ObjectCalls& oc,
 
     // Justifying subhistories (Definition 3): exactly the r-predecessors of
     // m, in every order consistent with r, with m last.
-    std::vector<const CallRecord*> preds;
-    std::vector<std::size_t> pred_idx;
+    std::vector<const CallRecord*>& preds = preds_;
+    std::vector<std::size_t>& pred_idx = pred_idx_;
+    preds.clear();
+    pred_idx.clear();
     for (std::size_t j = 0; j < n; ++j) {
       if (j == mi) continue;
       if (std::find(succ[j].begin(), succ[j].end(), static_cast<int>(mi)) !=
@@ -273,8 +278,11 @@ bool SpecChecker::check_justifications(mc::Engine& e, const ObjectCalls& oc,
         pred_idx.push_back(j);
       }
     }
-    // Induced edges among the predecessors.
-    std::vector<std::vector<int>> psucc(preds.size());
+    // Induced edges among the predecessors (every row cleared: rows past
+    // preds.size() must be empty for the enumeration).
+    std::vector<std::vector<int>>& psucc = pred_succ_;
+    if (psucc.size() < preds.size()) psucc.resize(preds.size());
+    for (std::vector<int>& row : psucc) row.clear();
     for (std::size_t a = 0; a < preds.size(); ++a) {
       for (std::size_t b = 0; b < preds.size(); ++b) {
         if (a == b) continue;

@@ -75,7 +75,7 @@ class SpecChecker : public mc::ExecutionListener {
 
  private:
   struct ObjectCalls {
-    const Specification* spec;
+    const Specification* spec = nullptr;
     std::vector<const CallRecord*> calls;
   };
 
@@ -117,8 +117,18 @@ class SpecChecker : public mc::ExecutionListener {
   obs::Counter* m_justifications_ = nullptr;
   obs::Counter* m_cap_hits_ = nullptr;
 
-  // Scratch, valid during check_object.
+  // Per-execution scratch, reused across executions so a check allocates
+  // only when an execution outgrows every earlier one: calls grouped by
+  // object id; for the object being checked (valid during check_object)
+  // its r edges and per-call concurrent sets (rows past its call count are
+  // empty or stale); and one call's r-predecessors with their induced edges
+  // (check_justifications).
+  std::vector<ObjectCalls> objects_;
+  std::vector<std::vector<int>> succ_;
   std::vector<std::vector<const CallRecord*>> concurrent_;
+  std::vector<const CallRecord*> preds_;
+  std::vector<std::size_t> pred_idx_;
+  std::vector<std::vector<int>> pred_succ_;
   const std::vector<const CallRecord*>* cur_calls_ = nullptr;
 };
 

@@ -96,7 +96,8 @@ void check_object(const ObjectCalls& oc, std::uint64_t max_histories,
                   ObservedCheckResult* out) {
   const auto n = oc.calls.size();
   if (n == 0 || oc.spec == nullptr) return;
-  std::vector<std::vector<int>> succ = build_r_edges(oc.calls);
+  std::vector<std::vector<int>> succ;
+  build_r_edges(oc.calls, succ);
 
   // concurrent(m): r-unordered peers (consumed by CONCURRENT() in specs).
   std::vector<std::vector<const CallRecord*>> concurrent(n);
@@ -151,7 +152,7 @@ void check_object(const ObjectCalls& oc, std::uint64_t max_histories,
 
 }  // namespace
 
-ObservedCheckResult check_observed_calls(const std::vector<CallRecord>& calls,
+ObservedCheckResult check_observed_calls(std::span<const CallRecord> calls,
                                          std::uint64_t max_histories) {
   ObservedCheckResult out;
   std::map<std::pair<const Specification*, std::uint32_t>, ObjectCalls> objs;

@@ -21,6 +21,7 @@
 #define CDS_SPEC_OBSERVED_H
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -42,7 +43,7 @@ struct ObservedCheckResult {
 // Checks every object's calls within one iteration's committed records.
 // `max_histories` caps the per-object topological-order enumeration.
 [[nodiscard]] ObservedCheckResult check_observed_calls(
-    const std::vector<CallRecord>& calls, std::uint64_t max_histories);
+    std::span<const CallRecord> calls, std::uint64_t max_histories);
 
 }  // namespace cds::spec
 

@@ -7,7 +7,7 @@
 
 namespace cds::spec {
 
-std::string render_dot(const std::vector<CallRecord>& calls) {
+std::string render_dot(std::span<const CallRecord> calls) {
   std::ostringstream os;
   os << "digraph r_relation {\n  rankdir=LR;\n  node [shape=box, fontsize=10];\n";
 

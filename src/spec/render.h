@@ -4,8 +4,8 @@
 #ifndef CDS_SPEC_RENDER_H
 #define CDS_SPEC_RENDER_H
 
+#include <span>
 #include <string>
-#include <vector>
 
 #include "spec/call.h"
 
@@ -13,7 +13,7 @@ namespace cds::spec {
 
 // Renders the calls (typically Recorder::calls() of one execution) and
 // their direct r edges. Calls on different objects get distinct clusters.
-[[nodiscard]] std::string render_dot(const std::vector<CallRecord>& calls);
+[[nodiscard]] std::string render_dot(std::span<const CallRecord> calls);
 
 }  // namespace cds::spec
 

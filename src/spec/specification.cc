@@ -6,9 +6,8 @@
 namespace cds::spec {
 
 namespace {
-// Serializes op-site accounting across real threads (stress backend); the
-// model checker's fibers share one OS thread, so it only pays an
-// uncontended lock on a cold diagnostic path.
+// Serializes first sightings of op sites across real threads (stress
+// backend); repeat sightings never take it.
 std::mutex& op_site_mutex() {
   static std::mutex m;
   return m;
@@ -50,11 +49,26 @@ int Specification::spec_lines() const {
   return lines;
 }
 
-void Specification::note_op_site(const std::string& site_key) {
+void Specification::note_op_site(const char* kind, const char* file,
+                                 std::uint32_t line) const {
+  auto seen = [&](const SeenSite* n) {
+    for (; n != nullptr; n = n->next) {
+      if (n->kind == kind && n->file == file && n->line == line) return true;
+    }
+    return false;
+  };
+  if (seen(seen_.load(std::memory_order_acquire))) return;
   std::lock_guard<std::mutex> lock(op_site_mutex());
-  if (std::find(op_sites_.begin(), op_sites_.end(), site_key) == op_sites_.end()) {
-    op_sites_.push_back(site_key);
+  const SeenSite* head = seen_.load(std::memory_order_relaxed);
+  if (seen(head)) return;  // another thread noted it first
+  std::string key =
+      std::string(kind) + "@" + file + ":" + std::to_string(line);
+  if (std::find(op_sites_.begin(), op_sites_.end(), key) == op_sites_.end()) {
+    op_sites_.push_back(std::move(key));
   }
+  seen_nodes_.push_back(
+      std::make_unique<SeenSite>(SeenSite{kind, file, line, head}));
+  seen_.store(seen_nodes_.back().get(), std::memory_order_release);
 }
 
 int Specification::ordering_point_sites() const {

@@ -14,6 +14,7 @@
 #ifndef CDS_SPEC_SPECIFICATION_H
 #define CDS_SPEC_SPECIFICATION_H
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -184,9 +185,15 @@ class Specification {
   // point annotation site (counted by the annotation runtime).
   [[nodiscard]] int spec_lines() const;
   [[nodiscard]] int admissibility_lines() const { return static_cast<int>(admits_.size()); }
-  // Thread-safe (annotation sites fire from concurrent real threads under
-  // the stress backend); serialized on a process-wide mutex in the .cc.
-  void note_op_site(const std::string& site_key);
+  // Counts the annotation site `kind@file:line` once. Called on every
+  // annotation of every execution, so a site already seen (same kind and
+  // file pointers, same line) returns after a lock-free list walk; the key
+  // string is built, and compared by content, only the first time a
+  // (kind, file, line) triple shows up. Thread-safe (annotation sites fire
+  // from concurrent real threads under the stress backend); first sightings
+  // serialize on a process-wide mutex in the .cc.
+  void note_op_site(const char* kind, const char* file,
+                    std::uint32_t line) const;
   [[nodiscard]] int ordering_point_sites() const;
 
  private:
@@ -195,7 +202,21 @@ class Specification {
   std::vector<AdmitRule> admits_;
   void* (*create_state_)() = nullptr;
   void (*destroy_state_)(void*) = nullptr;
-  std::vector<std::string> op_sites_;
+
+  // Op-site accounting: a side table, hence mutable. `seen_` heads a
+  // newest-first list of every (kind, file, line) triple noted so far; its
+  // nodes live in seen_nodes_ until the Specification dies. op_sites_
+  // holds the distinct site strings (several triples may name one site if
+  // a file name has more than one address).
+  struct SeenSite {
+    const char* kind;
+    const char* file;
+    std::uint32_t line;
+    const SeenSite* next;
+  };
+  mutable std::atomic<const SeenSite*> seen_{nullptr};
+  mutable std::vector<std::unique_ptr<SeenSite>> seen_nodes_;
+  mutable std::vector<std::string> op_sites_;
 };
 
 }  // namespace cds::spec

@@ -2,6 +2,8 @@
 // injection-experiment classification (Figure 8 machinery).
 #include <gtest/gtest.h>
 
+#include <malloc.h>
+
 #include <csignal>
 #include <cstdlib>
 
@@ -47,6 +49,32 @@ TEST(Harness, RunBenchmarkAggregatesAcrossTests) {
   }
   EXPECT_EQ(total.mc.executions, sum);
   EXPECT_EQ(total.mc.violations_total, 0u);
+}
+
+// Regression: a pruned or abandoned execution never unwinds its fibers, so
+// heap owned by objects on a fiber stack (spec::Method's call records and
+// ordering-point clocks, a test body's local vectors) used to leak on every
+// such execution: about 2.5 MB per run_benchmark("mcs-lock"). Per-call
+// storage now lives in recycled recorder slots and clocks are inline, so
+// repeated runs hold a flat heap. The slack absorbs glibc's per-thread
+// cache, which counts cached free chunks as in use (a few hundred bytes of
+// jitter between identical runs); one leaked allocation per execution
+// would add over 0.5 MB per run.
+TEST(Harness, RepeatedRunsKeepHeapFlat) {
+  ds::register_all_benchmarks();
+  const auto* b = harness::find_benchmark("mcs-lock");
+  ASSERT_NE(b, nullptr);
+  std::size_t after2 = 0;
+  std::size_t after5 = 0;
+  for (int run = 1; run <= 5; ++run) {
+    harness::RunResult r = harness::run_benchmark(*b);
+    ASSERT_EQ(r.verdict, mc::Verdict::kVerifiedExhaustive);
+    if (run == 2) after2 = mallinfo2().uordblks;
+    if (run == 5) after5 = mallinfo2().uordblks;
+  }
+  constexpr std::size_t kSlack = 64 * 1024;
+  EXPECT_LE(after5, after2 + kSlack)
+      << "heap in use grew by " << (after5 - after2) << " bytes over 3 runs";
 }
 
 TEST(Harness, InjectionExperimentClassifiesTicketLock) {

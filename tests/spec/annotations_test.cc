@@ -3,6 +3,8 @@
 // per-object checking (paper Section 3.2).
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "harness/runner.h"
 #include "mc/atomic.h"
 #include "spec/annotations.h"
@@ -194,11 +196,61 @@ TEST(Annotations, SpecLineAccounting) {
   });
   EXPECT_EQ(sp.spec_lines(), 4);
   EXPECT_EQ(sp.admissibility_lines(), 1);
-  sp.note_op_site("op_define@x.cc:10");
-  sp.note_op_site("op_define@x.cc:10");  // duplicate: one site
-  sp.note_op_site("op_define@x.cc:20");
+  sp.note_op_site("op_define", "x.cc", 10);
+  sp.note_op_site("op_define", "x.cc", 10);  // duplicate: one site
+  sp.note_op_site("op_define", "x.cc", 20);
   EXPECT_EQ(sp.ordering_point_sites(), 2);
   EXPECT_EQ(sp.spec_lines(), 6);
+}
+
+// Op-site accounting is keyed on (kind, file pointer, line) with the
+// `kind@file:line` string as the identity: a site seen again counts once,
+// even through a second copy of its file name, while two kinds on one line
+// are two sites.
+TEST(Annotations, OpSiteCountsEachSiteOnce) {
+  spec::Specification sp("Sites");
+  static const char kFile[] = "ds.cc";
+  const std::string same_name = kFile;  // same file name, other address
+  sp.note_op_site("op_define", kFile, 7);
+  sp.note_op_site("op_define", kFile, 7);
+  EXPECT_EQ(sp.ordering_point_sites(), 1);
+  sp.note_op_site("op_define", same_name.c_str(), 7);
+  EXPECT_EQ(sp.ordering_point_sites(), 1);
+  sp.note_op_site("op_check", kFile, 7);
+  EXPECT_EQ(sp.ordering_point_sites(), 2);
+  sp.note_op_site("op_check", kFile, 8);
+  EXPECT_EQ(sp.ordering_point_sites(), 3);
+}
+
+// Re-running annotated code execution after execution must not add sites:
+// each textual annotation counts once however often it fires.
+TEST(Annotations, OpSitesStayFlatAcrossExecutions) {
+  static spec::Specification* sp = [] {
+    auto* s = new spec::Specification("SitesFlat");
+    s->state<std::int64_t>();
+    s->method("inc").side_effect([](Ctx& c) { ++c.st<std::int64_t>(); });
+    return s;
+  }();
+  spec::SpecChecker checker;
+  mc::Engine e;
+  checker.attach(e);
+  auto body = [](mc::Exec& x) {
+    auto* obj = x.make<spec::Object>(*sp);
+    auto* flag = x.make<mc::Atomic<int>>(0, "flag");
+    spec::Method m(*obj, "inc");
+    flag->store(1, MemoryOrder::release);
+    m.potential_op(1);
+    m.op_check(1);
+    m.op_clear();
+    m.op_clear_define();
+    m.op_define();
+  };
+  std::uint64_t executions = 0;
+  for (int i = 0; i < 1000; ++i) executions += e.explore(body).executions;
+  checker.detach();
+  EXPECT_EQ(executions, 1000u);
+  EXPECT_EQ(checker.stats().executions_checked, 1000u);
+  EXPECT_EQ(sp->ordering_point_sites(), 5);
 }
 
 TEST(Annotations, MethodRegistrationIdempotent) {
