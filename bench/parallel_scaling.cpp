@@ -2,6 +2,10 @@
 // widened seed litmus shapes at --jobs 1/2/4/8, reported as executions/sec
 // and speedup over the serial run (BENCH_parallel.json).
 //
+// Every point runs kRuns times. The JSON records the median wall time
+// ("seconds") with its min and max; execs/sec and speedup are taken from
+// medians, so one noisy run cannot fake a superlinear speedup.
+//
 // The sharded run enumerates exactly the serial run's executions (disjoint
 // subtree prefixes; see src/mc/shard.h), so speedup is pure wall-clock —
 // the bench asserts the execution counts and behavior sets agree before
@@ -13,8 +17,10 @@
 // forked workers, src/dist/) is appended per shape and held to the same
 // bar: merged executions must equal the serial count with zero failed
 // shards, so the nightly artifact tracks protocol overhead honestly.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -32,13 +38,52 @@ namespace {
 
 using cds_bench::Shape;
 
-struct Point {
-  int jobs;
-  double seconds;
-  double execs_per_sec;
-  double speedup;
-  std::uint64_t executions;
+constexpr int kRuns = 5;
+
+// Wall-time spread of one point over kRuns runs.
+struct Timing {
+  double median = 0.0;
+  double min = 0.0;
+  double max = 0.0;
 };
+
+// Runs `once` kRuns times; `once` returns false if the run diverged from
+// the serial reference, which aborts the measurement.
+bool time_runs(const std::function<bool()>& once, Timing* t) {
+  std::vector<double> secs;
+  for (int i = 0; i < kRuns; ++i) {
+    const auto t0 = std::chrono::steady_clock::now();
+    if (!once()) return false;
+    const auto t1 = std::chrono::steady_clock::now();
+    secs.push_back(std::chrono::duration<double>(t1 - t0).count());
+  }
+  std::sort(secs.begin(), secs.end());
+  *t = Timing{secs[secs.size() / 2], secs.front(), secs.back()};
+  return true;
+}
+
+double rate(std::uint64_t execs, double secs) {
+  return secs > 0 ? static_cast<double>(execs) / secs : 0.0;
+}
+
+// One JSON point: median seconds with min/max, median-based rate and
+// speedup over the serial median. More workers than cores measures
+// scheduling contention, not parallel speedup; `saturated` flags it so
+// BENCH_parallel.json consumers (and the nightly regression check) stop
+// reading sub-1.0 speedups on saturated hosts as meaningful.
+std::string render_point(const char* key, int width, const Timing& t,
+                         const Timing& serial, std::uint64_t execs,
+                         bool saturated) {
+  char buf[320];
+  std::snprintf(buf, sizeof buf,
+                "{\"%s\": %d, \"seconds\": %.4f, \"seconds_min\": %.4f, "
+                "\"seconds_max\": %.4f, \"execs_per_sec\": %.1f, "
+                "\"speedup\": %.3f, \"saturated\": %s",
+                key, width, t.median, t.min, t.max, rate(execs, t.median),
+                t.median > 0 ? serial.median / t.median : 1.0,
+                saturated ? "true" : "false");
+  return buf;
+}
 
 int cpu_count() {
 #if defined(__unix__) || defined(__APPLE__)
@@ -59,6 +104,7 @@ int main(int argc, char** argv) {
   std::string json = "{\n";
   json += "  \"bench\": \"parallel_scaling\",\n";
   json += "  \"cpus\": " + std::to_string(ncpu) + ",\n";
+  json += "  \"runs\": " + std::to_string(kRuns) + ",\n";
   json += "  \"shapes\": [\n";
 
   bool first_shape = true;
@@ -71,38 +117,39 @@ int main(int argc, char** argv) {
       return 1;
     }
     std::printf("%s:\n", s.name);
-    std::vector<Point> points;
     cds::fuzz::McBehaviors serial;
+    Timing serial_t;
+    std::vector<std::string> points;
     for (int jobs : jobs_axis) {
       cds::fuzz::OracleConfig cfg;
       cfg.jobs = jobs;
-      auto t0 = std::chrono::steady_clock::now();
-      cds::fuzz::McBehaviors r = cds::fuzz::mc_behaviors(p, cfg);
-      auto t1 = std::chrono::steady_clock::now();
-      double secs = std::chrono::duration<double>(t1 - t0).count();
-      if (jobs == 1) {
-        serial = r;
-      } else if (r.behaviors != serial.behaviors ||
-                 r.executions != serial.executions ||
-                 r.exhausted != serial.exhausted) {
+      Timing t;
+      const bool same = time_runs(
+          [&] {
+            cds::fuzz::McBehaviors r = cds::fuzz::mc_behaviors(p, cfg);
+            if (jobs == 1) {
+              serial = std::move(r);
+              return true;
+            }
+            return r.behaviors == serial.behaviors &&
+                   r.executions == serial.executions &&
+                   r.exhausted == serial.exhausted;
+          },
+          &t);
+      if (!same) {
         std::fprintf(stderr,
                      "parallel_scaling: jobs=%d diverged from serial on %s\n",
                      jobs, s.name);
         return 1;
       }
-      Point pt;
-      pt.jobs = jobs;
-      pt.seconds = secs;
-      pt.executions = r.executions;
-      pt.execs_per_sec = secs > 0 ? static_cast<double>(r.executions) / secs
-                                  : 0.0;
-      pt.speedup = points.empty() || secs <= 0
-                       ? 1.0
-                       : points.front().seconds / secs;
-      points.push_back(pt);
-      std::printf("  jobs=%d  %8llu execs  %7.3fs  %10.0f execs/s  %.2fx\n",
-                  jobs, static_cast<unsigned long long>(r.executions), secs,
-                  pt.execs_per_sec, pt.speedup);
+      if (jobs == 1) serial_t = t;
+      points.push_back(render_point("jobs", jobs, t, serial_t,
+                                    serial.executions, ncpu < jobs));
+      std::printf("  jobs=%d  %8llu execs  %7.3fs [%.3f, %.3f]  %10.0f "
+                  "execs/s  %.2fx\n",
+                  jobs, static_cast<unsigned long long>(serial.executions),
+                  t.median, t.min, t.max, rate(serial.executions, t.median),
+                  serial_t.median / t.median);
     }
 
     // Distributed axis: the same shape through the socket
@@ -110,54 +157,49 @@ int main(int argc, char** argv) {
     // workers' memory, so only the counter identity is checkable here;
     // the dist test suite covers the rest.
     const int dist_workers = 4;
-    double dist_secs = 0.0;
-    std::uint64_t dist_failed = 0;
-    {
-      std::vector<std::uint64_t> obs;
-      cds::harness::Benchmark b;
-      b.name = s.name;
-      b.display = s.name;
-      b.spec = nullptr;
-      b.tests.push_back(p.test_fn(&obs));
-      cds::harness::RunOptions opts;
-      // Mirror the oracle path's engine config (fuzz::engine_config): the
-      // identity assertion below compares against the jobs=1 oracle run, so
-      // the dist workers must explore under the same stale bound and seed.
-      cds::fuzz::OracleConfig ocfg;
-      opts.engine.max_steps = ocfg.max_steps;
-      opts.engine.stale_read_bound = ocfg.stale_read_bound;
-      opts.engine.collect_trace = false;
-      opts.engine.seed = ocfg.seed;
-      cds::dist::DistOptions d;
-      d.dist_workers = dist_workers;
-      auto t0 = std::chrono::steady_clock::now();
-      cds::dist::DistRunResult r =
-          cds::dist::run_benchmark_distributed(b, opts, d);
-      auto t1 = std::chrono::steady_clock::now();
-      dist_secs = std::chrono::duration<double>(t1 - t0).count();
-      dist_failed = r.failed_shards;
-      if (r.merged.mc.executions != serial.executions ||
-          r.merged.mc.exhausted != serial.exhausted ||
-          r.failed_shards != 0) {
-        std::fprintf(stderr,
-                     "parallel_scaling: dist-workers=%d diverged from serial "
-                     "on %s (execs %llu vs %llu, failed shards %llu)\n",
-                     dist_workers, s.name,
-                     static_cast<unsigned long long>(r.merged.mc.executions),
-                     static_cast<unsigned long long>(serial.executions),
-                     static_cast<unsigned long long>(r.failed_shards));
-        return 1;
-      }
-      std::printf(
-          "  dist=%d  %8llu execs  %7.3fs  %10.0f execs/s  %.2fx\n",
-          dist_workers, static_cast<unsigned long long>(serial.executions),
-          dist_secs,
-          dist_secs > 0 ? static_cast<double>(serial.executions) / dist_secs
-                        : 0.0,
-          dist_secs > 0 && !points.empty()
-              ? points.front().seconds / dist_secs
-              : 1.0);
+    std::vector<std::uint64_t> obs;
+    cds::harness::Benchmark b;
+    b.name = s.name;
+    b.display = s.name;
+    b.spec = nullptr;
+    b.tests.push_back(p.test_fn(&obs));
+    cds::harness::RunOptions opts;
+    // Mirror the oracle path's engine config (fuzz::engine_config): the
+    // identity check compares against the jobs=1 oracle run, so the dist
+    // workers must explore under the same stale bound and seed.
+    cds::fuzz::OracleConfig ocfg;
+    opts.engine.max_steps = ocfg.max_steps;
+    opts.engine.stale_read_bound = ocfg.stale_read_bound;
+    opts.engine.collect_trace = false;
+    opts.engine.seed = ocfg.seed;
+    cds::dist::DistOptions d;
+    d.dist_workers = dist_workers;
+    Timing dist_t;
+    cds::dist::DistRunResult r;
+    const bool dist_same = time_runs(
+        [&] {
+          r = cds::dist::run_benchmark_distributed(b, opts, d);
+          return r.merged.mc.executions == serial.executions &&
+                 r.merged.mc.exhausted == serial.exhausted &&
+                 r.failed_shards == 0;
+        },
+        &dist_t);
+    if (!dist_same) {
+      std::fprintf(stderr,
+                   "parallel_scaling: dist-workers=%d diverged from serial "
+                   "on %s (execs %llu vs %llu, failed shards %llu)\n",
+                   dist_workers, s.name,
+                   static_cast<unsigned long long>(r.merged.mc.executions),
+                   static_cast<unsigned long long>(serial.executions),
+                   static_cast<unsigned long long>(r.failed_shards));
+      return 1;
     }
+    std::printf("  dist=%d  %8llu execs  %7.3fs [%.3f, %.3f]  %10.0f "
+                "execs/s  %.2fx\n",
+                dist_workers, static_cast<unsigned long long>(serial.executions),
+                dist_t.median, dist_t.min, dist_t.max,
+                rate(serial.executions, dist_t.median),
+                serial_t.median / dist_t.median);
 
     json += first_shape ? "    {\n" : "    ,{\n";
     first_shape = false;
@@ -168,40 +210,14 @@ int main(int argc, char** argv) {
     json += serial.exhausted ? "true" : "false";
     json += ",\n      \"points\": [\n";
     for (std::size_t i = 0; i < points.size(); ++i) {
-      // More workers than cores: the point measures scheduling contention,
-      // not parallel speedup. Flag it so BENCH_parallel.json consumers
-      // (and the nightly regression check) stop reading sub-1.0 speedups
-      // on saturated hosts as meaningful.
-      const bool saturated = ncpu < points[i].jobs;
-      char buf[256];
-      std::snprintf(buf, sizeof buf,
-                    "        {\"jobs\": %d, \"seconds\": %.4f, "
-                    "\"execs_per_sec\": %.1f, \"speedup\": %.3f, "
-                    "\"saturated\": %s}%s\n",
-                    points[i].jobs, points[i].seconds,
-                    points[i].execs_per_sec, points[i].speedup,
-                    saturated ? "true" : "false",
-                    i + 1 < points.size() ? "," : "");
-      json += buf;
+      json += "        " + points[i] + "}" +
+              (i + 1 < points.size() ? ",\n" : "\n");
     }
     json += "      ],\n";
-    {
-      char buf[256];
-      std::snprintf(
-          buf, sizeof buf,
-          "      \"distributed\": {\"workers\": %d, \"seconds\": %.4f, "
-          "\"execs_per_sec\": %.1f, \"speedup\": %.3f, "
-          "\"failed_shards\": %llu, \"saturated\": %s}\n",
-          dist_workers, dist_secs,
-          dist_secs > 0 ? static_cast<double>(serial.executions) / dist_secs
-                        : 0.0,
-          dist_secs > 0 && !points.empty()
-              ? points.front().seconds / dist_secs
-              : 1.0,
-          static_cast<unsigned long long>(dist_failed),
-          ncpu < dist_workers ? "true" : "false");
-      json += buf;
-    }
+    json += "      \"distributed\": " +
+            render_point("workers", dist_workers, dist_t, serial_t,
+                         serial.executions, ncpu < dist_workers) +
+            ", \"failed_shards\": 0}\n";
     json += "    }\n";
   }
   json += "  ]\n}\n";

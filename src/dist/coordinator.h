@@ -20,8 +20,11 @@
 //     bit-identical to a serial run;
 //   - if no worker ever connects within the deadline — or every worker is
 //     gone and none returns — the remaining shards gracefully degrade to
-//     the local fork pool (mc::fork_map), so `--dist-workers` never
-//     strands a run.
+//     the local fork pool, so `--dist-workers` never strands a run.
+//
+// Planning, the journal (header check, replay), the fork-pool fallback and
+// the DFS-order merge are the shard pipeline shared with --jobs
+// (harness/parallel.h); this file adds only the socket transport.
 //
 // All dist bookkeeping (retries, leases, steals, reconnects) is exported
 // as dist.* gauges, never counters: the deterministic counter set must
@@ -35,11 +38,15 @@
 
 #include "dist/chaos.h"
 #include "dist/worker.h"
+#include "harness/parallel.h"
 #include "harness/runner.h"
 
 namespace cds::dist {
 
-struct DistOptions {
+// Planning and durability fields (shard_depth, max_shards, journal_path,
+// resume, coord_chaos) come from the shared pipeline options; a 0
+// max_shards means max(dist_workers, 1) * 4.
+struct DistOptions : harness::ShardPipelineOptions {
   // Address to listen on ("host:port" or "unix:PATH"). Empty = an
   // automatic per-process Unix socket under /tmp, removed on completion.
   std::string listen;
@@ -53,36 +60,17 @@ struct DistOptions {
   // Retries after the first attempt before a shard is recorded as a
   // permanent (contained) failure. 0 = single attempt.
   int max_shard_retries = 3;
-  // Fall back to the local fork pool when no worker has connected this
-  // long after startup, or when all workers are gone this long.
+  // Fall back to the local fork pool (max(dist_workers, 1) wide) when no
+  // worker has connected this long after startup, or when all workers are
+  // gone this long.
   double connect_deadline_seconds = 5.0;
   // Steal from a running shard only after it has held its assignment this
   // long. 0 = half the lease.
   double steal_after_seconds = 0.0;
-  // Base for the exponential retry backoff (doubled per attempt, plus
-  // deterministic jitter derived from the engine seed and attempt id).
-  double retry_backoff_seconds = 0.05;
   bool enable_steal = true;
-  // Shard planning, mirroring ParallelOptions.
-  int shard_depth = 2;
-  std::size_t max_shards = 0;  // 0 = max(dist_workers, 1) * 4
-  // Fork-pool width for the local fallback. 0 = max(dist_workers, 1).
-  int fallback_jobs = 0;
   // Fault injection applied to the FIRST forked local worker (chaos
   // tests / the CI chaos step). External workers configure their own.
   ChaosOptions worker_chaos;
-  // Coordinator-side fault injection (journal-append crash windows).
-  CoordinatorChaos coord_chaos;
-  // Write-ahead shard-outcome journal (see dist/journal.h). Empty = no
-  // durability: a coordinator crash discards all progress. The file is
-  // kept on completion (it is the run's audit log and CI artifact).
-  std::string journal_path;
-  // Replay an existing journal before starting: completed shards are
-  // satisfied from their journaled results, in-flight ones re-enqueued,
-  // and this incarnation runs under a bumped epoch. A journal recorded
-  // under a different benchmark/config/shard plan sets
-  // DistRunResult::resume_error instead of merging incompatible state.
-  bool resume = false;
   // Benchmark resolver inherited by forked local workers; defaults to the
   // benchmark under test plus the global registry.
   BenchmarkResolver resolve;
@@ -90,37 +78,25 @@ struct DistOptions {
   double worker_progress_interval_seconds = 0.0;
 };
 
-struct DistRunResult {
-  harness::RunResult merged;
-  std::uint64_t shards = 0;  // planned + minted by stealing
-  std::uint64_t probe_executions = 0;
+struct DistRunResult : harness::ShardRunResult {
   std::uint64_t retries = 0;          // attempts rescheduled (any cause)
   std::uint64_t leases_expired = 0;   // revocations by lease timeout
   std::uint64_t steals = 0;           // preemption requests sent
   std::uint64_t steal_subshards = 0;  // sub-shards minted from frontiers
-  std::uint64_t failed_shards = 0;    // permanent failures (out of retries)
+  std::uint64_t failed_shards = 0;    // shards that never produced a result
   std::uint64_t stale_results = 0;    // revoked-attempt reports dropped
   std::uint64_t corrupt_results = 0;  // unparseable result payloads
   std::uint64_t workers_connected = 0;  // peak concurrent workers
   std::uint64_t connections_total = 0;  // hellos accepted (incl. reconnects)
   bool fell_back_local = false;
   std::string listen_address;  // resolved address actually listened on
-  // Durability (journal) bookkeeping.
-  std::uint64_t epoch = 0;             // this incarnation (0 = no journal)
-  bool resumed = false;                // a prior journal was replayed
-  std::uint64_t replayed_shards = 0;   // shards satisfied from the journal
-  std::uint64_t fenced_results = 0;    // out-of-epoch reports dropped
-  std::uint64_t journal_quarantined_bytes = 0;  // torn-tail bytes set aside
-  // Non-empty: --resume was rejected (journal recorded under a different
-  // benchmark, config fingerprint, or shard plan); nothing was run.
-  std::string resume_error;
+  std::uint64_t fenced_results = 0;  // out-of-epoch reports dropped
 };
 
-// Distributed analog of run_benchmark_parallel: plans shards exactly the
-// same way, distributes them to workers, and merges to the same
-// deterministic RunResult. With `journal_path` set, every shard outcome
-// is journaled write-ahead of the merge, and `resume` continues an
-// interrupted run to a bit-identical verdict and counter set.
+// Distributed analog of run_benchmark_parallel: the same shard pipeline
+// with socket workers in front of the fork pool. With `journal_path` set,
+// every shard outcome is journaled write-ahead of the merge, and `resume`
+// continues an interrupted run to a bit-identical verdict and counter set.
 DistRunResult run_benchmark_distributed(const harness::Benchmark& b,
                                         const harness::RunOptions& opts,
                                         const DistOptions& d);

@@ -332,14 +332,6 @@ bool parse_shard_result(const std::string& text, ShardResult* out,
   return true;
 }
 
-void weaken_verdict(mc::Verdict& into, mc::Verdict v) {
-  if (v == mc::Verdict::kFalsified || into == mc::Verdict::kFalsified) {
-    into = mc::Verdict::kFalsified;
-  } else if (v == mc::Verdict::kInconclusive) {
-    into = mc::Verdict::kInconclusive;
-  }
-}
-
 ShardUnit make_shard_unit(const RunOptions& base, std::size_t test_index,
                           std::vector<mc::Choice> prefix, std::size_t ordinal,
                           std::size_t total) {

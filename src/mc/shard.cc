@@ -119,10 +119,6 @@ bool prefix_dfs_less(const std::vector<Choice>& a,
 
 namespace {
 
-std::string spool_path(const std::string& dir, std::size_t i) {
-  return dir + "/unit-" + std::to_string(i) + ".result";
-}
-
 #ifdef CDS_MC_SHARD_HAS_FORK
 
 // Worker loop: read "u <idx>\n" assignments off `in`, answer each with an
@@ -174,55 +170,14 @@ std::vector<UnitResult> fork_map(
         .count();
   };
 
-  // The whole map — worker pipes, spool writes, and the sequential
-  // fallback — runs with SIGPIPE ignored, so a worker dying at any point
-  // in the conversation surfaces as EPIPE on the write that raced it.
+  // The whole map — worker pipes and the sequential fallback — runs with
+  // SIGPIPE ignored, so a worker dying at any point in the conversation
+  // surfaces as EPIPE on the write that raced it.
   support::SigpipeIgnoreScope sigpipe_guard;
 
-  if (!opts.spool_dir.empty()) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::string path = spool_path(opts.spool_dir, i);
-      std::string text, err;
-      bool quarantined = false;
-      if (support::read_spool_file(path, &text, &err, &quarantined)) {
-        std::string why;
-        if (opts.accept_spooled && !opts.accept_spooled(text, &why)) {
-          // Intact on disk but not a payload this build can consume
-          // (typically a stale wire version): set it aside and recompute.
-          std::fprintf(stderr,
-                       "cds::mc::fork_map: rejecting spool entry %s (%s); "
-                       "quarantined\n",
-                       path.c_str(), why.c_str());
-          (void)std::rename(path.c_str(), (path + ".quarantined").c_str());
-          continue;
-        }
-        out[i].ran = true;
-        out[i].from_spool = true;
-        out[i].text = std::move(text);
-        done[i] = 1;
-        if (opts.on_result) opts.on_result(i, out[i]);
-      } else if (quarantined) {
-        // Partial write or bit rot: the file was renamed aside and the
-        // unit will be recomputed below.
-        std::fprintf(stderr, "cds::mc::fork_map: corrupt spool entry %s\n",
-                     err.c_str());
-      }
-    }
-  }
-
-  auto spool_write = [&](std::size_t i) {
-    if (opts.spool_dir.empty()) return;
-    std::string err;
-    if (!support::write_spool_file(spool_path(opts.spool_dir, i), out[i].text,
-                                   &err)) {
-      std::fprintf(stderr, "cds::mc::fork_map: spool write failed: %s\n",
-                   err.c_str());
-    }
-  };
-
   // Sequential fallback; also sweeps up units left unassigned if every
-  // worker dies. Units already marked done (spool hits, crashed shards)
-  // are left alone.
+  // worker dies. Units already marked done (including crashed ones) are
+  // left alone.
   auto run_inline = [&]() {
     for (std::size_t i = 0; i < n; ++i) {
       if (done[i]) continue;
@@ -232,7 +187,6 @@ std::vector<UnitResult> fork_map(
       out[i].done_seconds = elapsed();
       out[i].ran = true;
       done[i] = 1;
-      spool_write(i);
       if (opts.on_result) opts.on_result(i, out[i]);
     }
   };
@@ -241,9 +195,7 @@ std::vector<UnitResult> fork_map(
   run_inline();
   return out;
 #else
-  std::size_t pending = 0;
-  for (std::size_t i = 0; i < n; ++i) pending += done[i] ? 0u : 1u;
-  if (opts.jobs <= 1 || pending <= 1) {
+  if (opts.jobs <= 1 || n <= 1) {
     run_inline();
     return out;
   }
@@ -258,7 +210,7 @@ std::vector<UnitResult> fork_map(
   };
   std::vector<Worker> ws;
   const std::size_t want =
-      std::min(static_cast<std::size_t>(opts.jobs), pending);
+      std::min(static_cast<std::size_t>(opts.jobs), n);
 
   for (std::size_t w = 0; w < want; ++w) {
     int wfd[2], rfd[2];
@@ -296,7 +248,7 @@ std::vector<UnitResult> fork_map(
   }
 
   if (ws.empty()) {
-    run_inline();  // spool-backed sequential fallback
+    run_inline();  // sequential fallback
     return out;
   }
 
@@ -362,11 +314,10 @@ std::vector<UnitResult> fork_map(
           out[idx].ran = true;
           out[idx].done_seconds = elapsed();
           done[idx] = 1;
-          spool_write(idx);
-          if (opts.on_result) opts.on_result(idx, out[idx]);
           w.buf.erase(0, nl + 1 + len);
           w.assigned = -1;
-          assign(w);
+          assign(w);  // the worker starts its next unit before on_result
+          if (opts.on_result) opts.on_result(idx, out[idx]);
         }
       }
       if (got <= 0) {

@@ -76,11 +76,10 @@ struct UnitResult {
   // assigned to it; `text` is empty and the unit was not retried, so a
   // crash deterministically becomes that shard's outcome.
   bool ran = false;
-  bool from_spool = false;  // satisfied from spool_dir, not computed
   std::string text;
   // Coordinator-side timing (seconds since fork_map entry) and the worker
   // slot that computed the unit: observability only — never part of the
-  // deterministic merged result. Spool hits keep the zero defaults.
+  // deterministic merged result.
   double assigned_seconds = 0.0;
   double done_seconds = 0.0;
   int worker = -1;
@@ -88,29 +87,15 @@ struct UnitResult {
 
 struct ForkMapOptions {
   int jobs = 1;
-  // When set, each unit's result text is persisted to
-  // "<spool_dir>/unit-<i>.result" (atomic write), and results already
-  // spooled there are reused instead of recomputed — the spool directory
-  // doubles as the fallback channel on platforms without fork (units run
-  // sequentially in-process, results still land in the spool) and as a
-  // crude resume for interrupted parallel runs. The caller must create the
-  // directory.
-  std::string spool_dir;
-  // When set, a spooled result is only reused if this returns true;
-  // rejected entries are quarantined (renamed aside, like a torn file)
-  // and recomputed. Callers use it to reject payloads written by an
-  // older wire version — the CRC footer proves integrity, not schema.
-  std::function<bool(const std::string& text, std::string* why)>
-      accept_spooled;
   // Test hook: the worker assigned this unit raises SIGKILL instead of
   // running it, exercising the coordinator's worker-crash containment.
   std::ptrdiff_t sigkill_on_unit = -1;
   // Invoked in the coordinating process the moment a unit reaches its
-  // final state — computed by a worker, satisfied from the spool, run
-  // inline, or crashed (`ran == false`). Callers use this to journal
-  // outcomes write-ahead of the merge; the callback runs before fork_map
-  // returns the unit to anyone else, so an fsync inside it orders the
-  // durable record strictly before consumption.
+  // final state — computed by a worker, run inline, or crashed
+  // (`ran == false`). Callers use this to journal outcomes write-ahead of
+  // the merge; the callback runs before fork_map returns the unit to
+  // anyone else, so an fsync inside it orders the durable record strictly
+  // before consumption.
   std::function<void(std::size_t, const UnitResult&)> on_result;
 };
 

@@ -1,9 +1,6 @@
 #include "support/io.h"
 
 #include <cerrno>
-#include <cinttypes>
-#include <cstdio>
-#include <cstring>
 
 #if defined(__unix__) || defined(__APPLE__)
 #define CDS_SUPPORT_IO_POSIX 1
@@ -165,113 +162,6 @@ SigpipeIgnoreScope::~SigpipeIgnoreScope() {
     delete old_sa;
   }
 #endif
-}
-
-// ---------------------------------------------------------------------------
-// Checksummed spool files
-// ---------------------------------------------------------------------------
-
-namespace {
-
-std::string render_footer(const std::string& text) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "#cds-spool len=%zu crc32=%08" PRIx32 "\n",
-                text.size(), crc32(text));
-  return buf;
-}
-
-bool quarantine(const std::string& path) {
-  return std::rename(path.c_str(), (path + ".quarantined").c_str()) == 0;
-}
-
-}  // namespace
-
-bool write_spool_file(const std::string& path, const std::string& text,
-                      std::string* err) {
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) {
-    if (err) *err = "cannot open '" + tmp + "': " + std::strerror(errno);
-    return false;
-  }
-  const std::string footer = render_footer(text);
-  bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size() &&
-            std::fwrite(footer.data(), 1, footer.size(), f) == footer.size();
-  ok = std::fflush(f) == 0 && ok;
-#ifdef CDS_SUPPORT_IO_POSIX
-  // The rename is only atomic-durable if the payload reached the disk
-  // first; fsync failure is reported, not ignored.
-  ok = ok && fsync(fileno(f)) == 0;
-#endif
-  ok = std::fclose(f) == 0 && ok;
-  if (!ok) {
-    if (err) *err = "short write to '" + tmp + "'";
-    std::remove(tmp.c_str());
-    return false;
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    if (err) *err = "rename to '" + path + "' failed: " + std::strerror(errno);
-    std::remove(tmp.c_str());
-    return false;
-  }
-  // The new name is only durable once the directory itself is synced.
-  if (!fsync_parent_dir(path)) {
-    if (err) {
-      *err = "fsync of directory holding '" + path +
-             "' failed: " + std::strerror(errno);
-    }
-    return false;
-  }
-  return true;
-}
-
-bool read_spool_file(const std::string& path, std::string* out,
-                     std::string* err, bool* quarantined) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    if (err) *err = "cannot open '" + path + "'";
-    return false;
-  }
-  std::string data;
-  char buf[65536];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) data.append(buf, n);
-  const bool read_ok = std::ferror(f) == 0;
-  std::fclose(f);
-
-  auto reject = [&](const std::string& why) {
-    if (err) *err = "'" + path + "': " + why + "; quarantined";
-    if (quarantine(path) && quarantined != nullptr) *quarantined = true;
-    return false;
-  };
-  if (!read_ok) return reject("read error");
-
-  // The footer is the file's last line, located by its own marker rather
-  // than by a preceding '\n' so payloads need not end with a newline. The
-  // length and CRC checks below disambiguate a payload that happens to
-  // contain the marker text itself.
-  if (data.empty() || data.back() != '\n') return reject("missing footer");
-  const std::size_t footer_start = data.rfind("#cds-spool len=");
-  if (footer_start == std::string::npos) {
-    return reject("malformed or absent footer line");
-  }
-  const std::string footer = data.substr(footer_start);
-  std::size_t want_len = 0;
-  unsigned want_crc = 0;
-  if (std::sscanf(footer.c_str(), "#cds-spool len=%zu crc32=%8x", &want_len,
-                  &want_crc) != 2) {
-    return reject("malformed or absent footer line");
-  }
-  const std::string payload = data.substr(0, footer_start);
-  if (payload.size() != want_len) {
-    return reject("length mismatch (footer says " + std::to_string(want_len) +
-                  ", file holds " + std::to_string(payload.size()) + ")");
-  }
-  if (crc32(payload) != static_cast<std::uint32_t>(want_crc)) {
-    return reject("crc mismatch");
-  }
-  *out = payload;
-  return true;
 }
 
 }  // namespace cds::support

@@ -288,7 +288,6 @@ TEST(DistHarness, FallsBackToLocalForkPoolWhenNoWorkerConnects) {
   dist::DistOptions d;
   d.dist_workers = 0;  // nobody will ever dial in
   d.connect_deadline_seconds = 0.2;
-  d.fallback_jobs = 2;
   dist::DistRunResult r = dist::run_benchmark_distributed(*b, opts, d);
   EXPECT_TRUE(r.fell_back_local);
   EXPECT_EQ(r.connections_total, 0u);

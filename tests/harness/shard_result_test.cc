@@ -54,8 +54,8 @@ TEST(ShardResult, RoundTripCarriesRfCounters) {
 }
 
 TEST(ShardResult, StaleWireVersionsAreRejected) {
-  // A spool file left by an older build must read as corrupt, not merge
-  // with the rf counters silently missing.
+  // A payload left by an older build (say, in a journal) must read as
+  // corrupt, not merge with the rf counters silently missing.
   std::string wire = harness::render_shard_result(full_result());
   for (const char* old : {"shard-result v1", "shard-result v2",
                           "shard-result v3"}) {

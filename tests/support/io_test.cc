@@ -1,21 +1,16 @@
 // IO hardening: CRC-32 vectors, EINTR-safe full read/write over pipes,
-// and the checksummed spool format — a result cache entry truncated or
-// bit-flipped on disk must be quarantined and recomputed, never parsed.
+// SIGPIPE containment, and the directory fsyncs behind the journal's
+// durable creation.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <string>
 
-#include "harness/parallel.h"
-#include "harness/runner.h"
-#include "mc/atomic.h"
 #include "support/io.h"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <cerrno>
-#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 #endif
@@ -25,18 +20,6 @@ namespace {
 
 std::string tmp_path(const char* name) {
   return testing::TempDir() + name;
-}
-
-std::string slurp(const std::string& path) {
-  std::ifstream f(path, std::ios::binary);
-  std::ostringstream buf;
-  buf << f.rdbuf();
-  return buf.str();
-}
-
-bool exists(const std::string& path) {
-  std::ifstream f(path);
-  return f.is_open();
 }
 
 TEST(Crc32, KnownVectors) {
@@ -57,87 +40,6 @@ TEST(Crc32, SensitiveToEveryByte) {
     m[i] = static_cast<char>(m[i] ^ 1);
     EXPECT_NE(support::crc32(m), base) << "flip at " << i;
   }
-}
-
-TEST(SpoolFile, RoundTripsPayloadWithBinaryContent) {
-  const std::string path = tmp_path("spool_roundtrip.result");
-  std::string payload = "shard-result v3\nstats a=1\n";
-  payload.push_back('\0');
-  payload += "\nbinary\xff\x01 tail, no trailing newline";
-  std::string err;
-  ASSERT_TRUE(support::write_spool_file(path, payload, &err)) << err;
-  std::string back;
-  bool quarantined = false;
-  ASSERT_TRUE(support::read_spool_file(path, &back, &err, &quarantined))
-      << err;
-  EXPECT_EQ(back, payload);
-  EXPECT_FALSE(quarantined);
-  std::remove(path.c_str());
-}
-
-TEST(SpoolFile, MissingFileIsPlainMissNotQuarantine) {
-  std::string out, err;
-  bool quarantined = false;
-  EXPECT_FALSE(support::read_spool_file(tmp_path("no_such_spool.result"),
-                                        &out, &err, &quarantined));
-  EXPECT_FALSE(quarantined);
-}
-
-TEST(SpoolFile, TruncatedFileIsQuarantinedAndNeverReturned) {
-  // The regression this guards: a run killed mid-write (or a full disk)
-  // leaves a torn cache entry; the reader must refuse it and move it
-  // aside so the next read recomputes instead of re-parsing garbage.
-  const std::string path = tmp_path("spool_truncated.result");
-  const std::string payload(4096, 'x');
-  std::string err;
-  ASSERT_TRUE(support::write_spool_file(path, payload, &err)) << err;
-
-  std::string full = slurp(path);
-  ASSERT_GT(full.size(), 100u);
-  {
-    std::ofstream f(path, std::ios::binary | std::ios::trunc);
-    f.write(full.data(), static_cast<std::streamsize>(full.size() / 2));
-  }
-
-  std::string out = "sentinel", quarantine_path = path + ".quarantined";
-  bool quarantined = false;
-  EXPECT_FALSE(support::read_spool_file(path, &out, &err, &quarantined));
-  EXPECT_TRUE(quarantined) << err;
-  EXPECT_EQ(out, "sentinel") << "failed read must not touch the output";
-  EXPECT_FALSE(exists(path)) << "torn file must be moved aside";
-  EXPECT_TRUE(exists(quarantine_path));
-  std::remove(quarantine_path.c_str());
-}
-
-TEST(SpoolFile, BitFlippedPayloadFailsTheChecksum) {
-  const std::string path = tmp_path("spool_flipped.result");
-  const std::string payload = "counters that must not be trusted: 12345\n";
-  std::string err;
-  ASSERT_TRUE(support::write_spool_file(path, payload, &err)) << err;
-  std::string full = slurp(path);
-  full[10] = static_cast<char>(full[10] ^ 0x20);  // same length, new bytes
-  {
-    std::ofstream f(path, std::ios::binary | std::ios::trunc);
-    f.write(full.data(), static_cast<std::streamsize>(full.size()));
-  }
-  std::string out;
-  bool quarantined = false;
-  EXPECT_FALSE(support::read_spool_file(path, &out, &err, &quarantined));
-  EXPECT_TRUE(quarantined);
-  std::remove((path + ".quarantined").c_str());
-}
-
-TEST(SpoolFile, StaleUnfooteredFileFromOlderVersionIsRejected) {
-  const std::string path = tmp_path("spool_legacy.result");
-  {
-    std::ofstream f(path, std::ios::binary);
-    f << "shard-result v1\nstats executions=10\nend\n";
-  }
-  std::string out, err;
-  bool quarantined = false;
-  EXPECT_FALSE(support::read_spool_file(path, &out, &err, &quarantined));
-  EXPECT_TRUE(quarantined);
-  std::remove((path + ".quarantined").c_str());
 }
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -190,111 +92,7 @@ TEST(FullIo, WriteToDeadPeerFailsWithEpipeNotASignal) {
   close(fds[1]);
 }
 
-harness::Benchmark spool_bench(const char* name) {
-  harness::Benchmark bench;
-  bench.name = name;
-  bench.display = "Spool regression (synthetic)";
-  bench.spec = nullptr;
-  bench.tests.push_back([](mc::Exec& x) {
-    auto* a = x.make<mc::Atomic<int>>(0, "a");
-    auto* b = x.make<mc::Atomic<int>>(0, "b");
-    int t1 = x.spawn([a, b] {
-      a->store(1, mc::MemoryOrder::release);
-      (void)b->load(mc::MemoryOrder::acquire);
-    });
-    int t2 = x.spawn([a, b] {
-      b->store(1, mc::MemoryOrder::release);
-      (void)a->load(mc::MemoryOrder::acquire);
-    });
-    x.join(t1);
-    x.join(t2);
-  });
-  return bench;
-}
-
-TEST(SpoolRegression, TruncatedCachedShardResultIsRecomputedViaQuarantine) {
-  // End-to-end satellite regression: truncate a cached shard result in a
-  // parallel spool dir mid-file; the rerun must quarantine it, recompute
-  // the shard, and still produce the exhaustive verdict.
-  harness::Benchmark bench = spool_bench("spool-truncation-regression");
-
-  // Keyed by pid: TempDir persists across test-binary invocations, and a
-  // spool left by an OLDER BUILD would otherwise feed this run stale-wire
-  // payloads (that case has its own test below).
-  const std::string spool = testing::TempDir() + "spool_regression_dir." +
-                            std::to_string(getpid());
-  harness::RunOptions opts;
-  harness::ParallelOptions par;
-  par.jobs = 2;
-  par.spool_dir = spool;
-
-  harness::ParallelRunResult first =
-      harness::run_benchmark_parallel(bench, opts, par);
-  ASSERT_EQ(first.merged.verdict, mc::Verdict::kVerifiedExhaustive);
-  ASSERT_GT(first.shards, 1u);
-
-  // Truncate one cached result mid-file.
-  const std::string victim = spool + "/t0/unit-0.result";
-  std::string full = slurp(victim);
-  ASSERT_FALSE(full.empty()) << victim;
-  {
-    std::ofstream f(victim, std::ios::binary | std::ios::trunc);
-    f.write(full.data(), static_cast<std::streamsize>(full.size() / 2));
-  }
-
-  harness::ParallelRunResult second =
-      harness::run_benchmark_parallel(bench, opts, par);
-  EXPECT_EQ(second.merged.verdict, mc::Verdict::kVerifiedExhaustive);
-  EXPECT_EQ(second.merged.mc.executions, first.merged.mc.executions);
-  EXPECT_EQ(second.crashed_shards, 0u);
-  // The torn entry must have been preserved for inspection, and the other
-  // (intact) entries reused from the spool.
-  EXPECT_TRUE(exists(victim + ".quarantined"));
-  EXPECT_GT(second.spooled_shards, 0u);
-  EXPECT_LT(second.spooled_shards, second.shards);
-}
-
-TEST(SpoolRegression, StaleWireVersionSpoolEntryIsQuarantinedAndRecomputed) {
-  // A spool entry left by an older build has a valid CRC footer but a
-  // payload today's shard-result parser rejects. It must be treated like
-  // corruption — quarantined and recomputed — not merged (silently wrong)
-  // or counted as a crashed shard (verdict destroyed).
-  harness::Benchmark bench = spool_bench("spool-stale-wire-regression");
-
-  const std::string spool = testing::TempDir() + "spool_stale_wire_dir." +
-                            std::to_string(getpid());
-  harness::RunOptions opts;
-  harness::ParallelOptions par;
-  par.jobs = 2;
-  par.spool_dir = spool;
-
-  harness::ParallelRunResult first =
-      harness::run_benchmark_parallel(bench, opts, par);
-  ASSERT_EQ(first.merged.verdict, mc::Verdict::kVerifiedExhaustive);
-  ASSERT_GT(first.shards, 1u);
-
-  // Replace one cached result with a well-formed spool file whose payload
-  // speaks the previous wire version.
-  const std::string victim = spool + "/t0/unit-0.result";
-  ASSERT_FALSE(slurp(victim).empty()) << victim;
-  std::string err;
-  ASSERT_TRUE(support::write_spool_file(
-      victim, "shard-result v3\nstats executions=10 exhausted=1\nend\n",
-      &err))
-      << err;
-
-  harness::ParallelRunResult second =
-      harness::run_benchmark_parallel(bench, opts, par);
-  EXPECT_EQ(second.merged.verdict, mc::Verdict::kVerifiedExhaustive);
-  EXPECT_EQ(second.merged.mc.executions, first.merged.mc.executions);
-  EXPECT_EQ(second.crashed_shards, 0u);
-  EXPECT_TRUE(exists(victim + ".quarantined"));
-  EXPECT_GT(second.spooled_shards, 0u);
-  EXPECT_LT(second.spooled_shards, second.shards);
-}
-
-// Directory-fsync helpers behind the spool's and journal's temp+rename
-// durability: a created file's *name* is only durable once its directory
+// Directory-fsync helpers behind the journal's durability: a created file's *name* is only durable once its directory
 // has been synced. The positive paths must succeed on a real directory;
 // the negative paths must report failure, not crash, so callers can
 // degrade to non-durable operation with a warning.

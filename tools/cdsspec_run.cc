@@ -1090,13 +1090,16 @@ int main(int argc, char** argv) {
   const bool parallel = jobs_u > 1;
   // In sharded modes --checkpoint names the shard journal, not a serial
   // engine checkpoint — hand it to the coordinator and keep it out of the
-  // engine config forwarded to shard children.
-  std::string journal_path;
+  // engine config forwarded to shard children. Planning and durability
+  // options are the same for both sharded modes.
+  cds::harness::ShardPipelineOptions shard_opts;
+  shard_opts.shard_depth = static_cast<int>(shard_depth_u);
+  shard_opts.resume = want_resume;
   if (sharded_mode) {
-    journal_path = opts.engine.checkpoint_path;
+    shard_opts.journal_path = opts.engine.checkpoint_path;
     opts.engine.checkpoint_path.clear();
   }
-  cds::dist::CoordinatorChaos coord_chaos;
+  cds::dist::CoordinatorChaos& coord_chaos = shard_opts.coord_chaos;
   if (chaos_coord_kill_append_u > 0) {
     coord_chaos.kill_after_append =
         static_cast<std::ptrdiff_t>(chaos_coord_kill_append_u);
@@ -1111,16 +1114,13 @@ int main(int argc, char** argv) {
   }
   if (dist_mode) {
     cds::dist::DistOptions dopts;
+    static_cast<cds::harness::ShardPipelineOptions&>(dopts) = shard_opts;
     dopts.listen = coordinator_addr;
     dopts.dist_workers = static_cast<int>(dist_workers_u);
     dopts.lease_seconds = lease_secs;
     dopts.max_shard_retries = static_cast<int>(max_shard_retries_u);
-    dopts.shard_depth = static_cast<int>(shard_depth_u);
     dopts.worker_progress_interval_seconds =
         opts.engine.progress_interval_seconds;
-    dopts.journal_path = journal_path;
-    dopts.resume = want_resume;
-    dopts.coord_chaos = coord_chaos;
     if (chaos_kill_u > 0) {
       dopts.worker_chaos.kill_on_assignment =
           static_cast<std::ptrdiff_t>(chaos_kill_u);
@@ -1133,11 +1133,8 @@ int main(int argc, char** argv) {
     r = std::move(dist.merged);
   } else if (parallel) {
     cds::harness::ParallelOptions popts;
+    static_cast<cds::harness::ShardPipelineOptions&>(popts) = shard_opts;
     popts.jobs = static_cast<int>(jobs_u);
-    popts.shard_depth = static_cast<int>(shard_depth_u);
-    popts.journal_path = journal_path;
-    popts.resume = want_resume;
-    popts.coord_chaos = coord_chaos;
     par = cds::harness::run_benchmark_parallel(*b, opts, popts);
     if (!par.resume_error.empty()) {
       std::fprintf(stderr, "cdsspec-run: %s\n", par.resume_error.c_str());
