@@ -131,12 +131,12 @@ int emit_engine_json(const char* out_path) {
       char buf[320];
       std::snprintf(buf, sizeof buf,
                     "        {\"mode\": \"%s\", \"executions\": %llu, "
-                    "\"rf_classes\": %llu, \"rf_infeasible\": %llu, "
+                    "\"feasible\": %llu, \"rf_infeasible\": %llu, "
                     "\"behaviors\": %zu, \"seconds\": %.4f, "
                     "\"execs_per_sec\": %.1f}%s\n",
                     to_string(modes[m]),
                     static_cast<unsigned long long>(r.executions),
-                    static_cast<unsigned long long>(r.rf_classes),
+                    static_cast<unsigned long long>(r.feasible),
                     static_cast<unsigned long long>(r.rf_infeasible),
                     r.behaviors.size(), secs,
                     secs > 0 ? static_cast<double>(r.executions) / secs : 0.0,

@@ -23,6 +23,9 @@
 #include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
+#if defined(__linux__)
+#include <sys/prctl.h>
+#endif
 #endif
 
 namespace cds::dist {
@@ -428,6 +431,7 @@ DistRunResult run_benchmark_distributed(const harness::Benchmark& b,
         return harness::find_benchmark(name);
       };
     }
+    const pid_t coordinator_pid = getpid();
     for (int w = 0; w < d.dist_workers; ++w) {
       pid_t pid = fork();
       if (pid < 0) {
@@ -436,6 +440,16 @@ DistRunResult run_benchmark_distributed(const harness::Benchmark& b,
         break;
       }
       if (pid == 0) {
+#if defined(__linux__)
+        // A worker of the automatic socket can never reach a resumed
+        // coordinator (new pid, new path), so it dies with this one
+        // instead of dialing a dead socket. The getppid() recheck covers
+        // a coordinator that died before the prctl.
+        if (auto_socket && (prctl(PR_SET_PDEATHSIG, SIGKILL) != 0 ||
+                            getppid() != coordinator_pid)) {
+          _exit(1);
+        }
+#endif
         close(listen_fd);
         WorkerOptions wo;
         wo.connect_timeout_seconds =

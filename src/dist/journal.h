@@ -18,7 +18,7 @@
 //   cdsspec-journal v1
 //   run epoch=<e> shards=<n> planhash=<8hex> fingerprint=<8hex> bench=<esc> #crc=<8hex>
 //   lease shard=<i> attempt=<id> #crc=<8hex>
-//   result shard=<i> attempt=<id> payload=<esc shard-result v3 text> #crc=<8hex>
+//   result shard=<i> attempt=<id> payload=<esc shard-result v5 text> #crc=<8hex>
 //   mint parent=<i> count=<n> #crc=<8hex>
 //   failed shard=<i> attempt=<id> reason=<esc> #crc=<8hex>
 //   done verdict=<v> #crc=<8hex>
@@ -61,7 +61,7 @@ struct JournalRecord {
   std::uint64_t attempt = 0;  // 0 = local fork-pool path (no lease)
   std::uint64_t count = 0;    // kMint: sub-shards appended
 
-  // kResult: the raw shard-result v3 text exactly as the worker sent it
+  // kResult: the raw shard-result v5 text exactly as the worker sent it
   // (pre-normalization, so replay re-mints preempted shards' sub-shards
   // from the journaled frontier). kFailed: the failure reason.
   std::string payload;

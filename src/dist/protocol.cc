@@ -1,15 +1,17 @@
 #include "dist/protocol.h"
 
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "mc/trace.h"
+#include "support/kv.h"
 
 namespace cds::dist {
 
 using harness::escape_line;
-using harness::parse_kv_tokens;
-using harness::parse_u64_tok;
+using support::parse_kv_line;
+using support::parse_u64;
 using harness::split_lines;
 using harness::unescape_line;
 
@@ -106,24 +108,24 @@ bool parse_control_line(const std::string& line, ControlLine* out,
     c.kind = ControlLine::Kind::kQuit;
   } else if (verb == "hb" || verb == "steal") {
     std::vector<std::string> tok = split_tokens(line, 2);
-    if (tok.size() != 2 || !parse_u64_tok(tok[1].c_str(), &c.shard_id)) {
+    if (tok.size() != 2 || !parse_u64(tok[1], &c.shard_id)) {
       return fail("malformed shard id at token 1");
     }
     c.kind = verb == "hb" ? ControlLine::Kind::kHeartbeat
                           : ControlLine::Kind::kSteal;
   } else if (verb == "result" || verb == "assign") {
     std::vector<std::string> tok = split_tokens(line, 3);
-    if (tok.size() != 3 || !parse_u64_tok(tok[1].c_str(), &c.shard_id)) {
+    if (tok.size() != 3 || !parse_u64(tok[1], &c.shard_id)) {
       return fail("malformed shard id at token 1");
     }
-    if (!parse_u64_tok(tok[2].c_str(), &c.payload_len)) {
+    if (!parse_u64(tok[2], &c.payload_len)) {
       return fail("malformed payload length at token 2");
     }
     c.kind = verb == "result" ? ControlLine::Kind::kResult
                               : ControlLine::Kind::kAssign;
   } else if (verb == "failed") {
     std::vector<std::string> tok = split_tokens(line, 3);
-    if (tok.size() < 2 || !parse_u64_tok(tok[1].c_str(), &c.shard_id)) {
+    if (tok.size() < 2 || !parse_u64(tok[1], &c.shard_id)) {
       return fail("malformed shard id at token 1");
     }
     c.reason = tok.size() == 3 ? unescape_line(tok[2]) : "";
@@ -133,7 +135,7 @@ bool parse_control_line(const std::string& line, ControlLine* out,
     if (tok.size() != 4) return fail("short hello line at token 3");
     if (!check_version_pair(tok, &why)) return fail(why);
     if (tok[3].rfind("pid=", 0) != 0 ||
-        !parse_u64_tok(tok[3].c_str() + 4, &c.pid)) {
+        !parse_u64(std::string_view(tok[3]).substr(4), &c.pid)) {
       return fail("malformed pid= value at token 3");
     }
     c.kind = ControlLine::Kind::kHello;
@@ -142,11 +144,11 @@ bool parse_control_line(const std::string& line, ControlLine* out,
     if (tok.size() != 5) return fail("short welcome line at token 4");
     if (!check_version_pair(tok, &why)) return fail(why);
     if (tok[3].rfind("hb_us=", 0) != 0 ||
-        !parse_u64_tok(tok[3].c_str() + 6, &c.heartbeat_us)) {
+        !parse_u64(std::string_view(tok[3]).substr(6), &c.heartbeat_us)) {
       return fail("malformed hb_us= value at token 3");
     }
     if (tok[4].rfind("epoch=", 0) != 0 ||
-        !parse_u64_tok(tok[4].c_str() + 6, &c.epoch)) {
+        !parse_u64(std::string_view(tok[4]).substr(6), &c.epoch)) {
       return fail("malformed epoch= value at token 4");
     }
     c.kind = ControlLine::Kind::kWelcome;
@@ -225,7 +227,7 @@ bool parse_assignment(const std::string& text, Assignment* out,
   }
   l = next();
   if (l == nullptr || l->rfind("id ", 0) != 0 ||
-      !parse_u64_tok(l->c_str() + 3, &a.shard_id)) {
+      !parse_u64(std::string_view(*l).substr(3), &a.shard_id)) {
     return fail("missing id line");
   }
   l = next();
@@ -240,7 +242,7 @@ bool parse_assignment(const std::string& text, Assignment* out,
     return fail("missing unit line");
   }
   std::uint64_t test = 0, ordinal = 0, total = 0;
-  if (!parse_kv_tokens(*l, 5,
+  if (!parse_kv_line(std::string_view(*l).substr(5),
                        {{"test", &test},
                         {"ordinal", &ordinal},
                         {"total", &total},
@@ -261,7 +263,7 @@ bool parse_assignment(const std::string& text, Assignment* out,
   std::uint64_t threads = 0, stale = 0, viol = 0, stop_first = 0, trace = 0,
                 sleep = 0, sc = 0, time_us = 0, mem = 0, dfs_ppm = 0,
                 contain = 0, sampling_only = 0, unsound = 0;
-  if (!parse_kv_tokens(*l, 7,
+  if (!parse_kv_line(std::string_view(*l).substr(7),
                        {{"threads", &threads},
                         {"stale", &stale},
                         {"steps", &e.max_steps},
@@ -308,7 +310,7 @@ bool parse_assignment(const std::string& text, Assignment* out,
   }
   spec::SpecChecker::Options& c = a.checker;
   std::uint64_t reports = 0, rtrace = 0;
-  if (!parse_kv_tokens(*l, 8,
+  if (!parse_kv_line(std::string_view(*l).substr(8),
                        {{"histories", &c.max_histories},
                         {"sampled", &c.sampled_histories},
                         {"subhist", &c.max_subhistories},
@@ -325,7 +327,7 @@ bool parse_assignment(const std::string& text, Assignment* out,
   l = next();
   std::uint64_t npfx = 0;
   if (l == nullptr || l->rfind("prefix ", 0) != 0 ||
-      !parse_u64_tok(l->c_str() + 7, &npfx)) {
+      !parse_u64(std::string_view(*l).substr(7), &npfx)) {
     return fail("missing prefix count");
   }
   if (npfx > lines.size()) return fail("prefix count exceeds message");

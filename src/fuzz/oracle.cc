@@ -1,10 +1,11 @@
 #include "fuzz/oracle.h"
 
-#include <cstdlib>
 #include <sstream>
+#include <string_view>
 
 #include "harness/stress_backend.h"
 #include "mc/shard.h"
+#include "support/kv.h"
 
 namespace cds::fuzz {
 
@@ -239,14 +240,11 @@ McBehaviors mc_behaviors(const Program& p, const OracleConfig& cfg,
       engine.set_subtree(plan.prefixes[i]);
       BehaviorCollector collector(&obs, p.locations, &shard_set);
       engine.set_listener(&collector);
-      auto stats = engine.explore(make_test(&obs));
-      std::ostringstream os;
-      os << "exhausted " << (stats.exhausted ? 1 : 0) << "\n"
-         << "executions " << stats.executions << "\n"
-         << "rf_classes " << stats.rf_classes << "\n"
-         << "rf_infeasible " << stats.rf_infeasible << "\n";
-      for (const std::string& b : shard_set) os << b << "\n";
-      return os.str();
+      // First line the shard's stats, then one behavior per line.
+      std::string text =
+          support::render_fields(engine.explore(make_test(&obs)));
+      for (const std::string& b : shard_set) text += "\n" + b;
+      return text + "\n";
     };
     mc::ForkMapOptions fopts;
     fopts.jobs = cfg.jobs;
@@ -254,33 +252,18 @@ McBehaviors mc_behaviors(const Program& p, const OracleConfig& cfg,
         mc::fork_map(plan.prefixes.size(), work, fopts);
     out.exhausted = true;
     for (const mc::UnitResult& r : results) {
-      if (!r.ran) {
+      const std::size_t nl = r.text.find('\n');
+      mc::ExplorationStats shard;
+      std::string why;
+      if (!r.ran || nl == std::string::npos ||
+          !support::parse_fields(std::string_view(r.text).substr(0, nl),
+                                 &shard, &why)) {
         out.exhausted = false;
         continue;
       }
-      std::istringstream is(r.text);
-      std::string line;
-      bool header_ok = false;
-      if (std::getline(is, line) && line.rfind("exhausted ", 0) == 0) {
-        if (line.substr(10) != "1") out.exhausted = false;
-        if (std::getline(is, line) && line.rfind("executions ", 0) == 0) {
-          out.executions += std::strtoull(line.c_str() + 11, nullptr, 10);
-          if (std::getline(is, line) && line.rfind("rf_classes ", 0) == 0) {
-            out.rf_classes += std::strtoull(line.c_str() + 11, nullptr, 10);
-            if (std::getline(is, line) &&
-                line.rfind("rf_infeasible ", 0) == 0) {
-              out.rf_infeasible +=
-                  std::strtoull(line.c_str() + 14, nullptr, 10);
-              header_ok = true;
-            }
-          }
-        }
-      }
-      if (!header_ok) {
-        out.exhausted = false;
-        continue;
-      }
-      while (std::getline(is, line)) {
+      mc::merge_shard_stats(out, shard);
+      std::istringstream is(r.text.substr(nl + 1));
+      for (std::string line; std::getline(is, line);) {
         if (!line.empty()) out.behaviors.insert(line);
       }
     }
@@ -290,11 +273,7 @@ McBehaviors mc_behaviors(const Program& p, const OracleConfig& cfg,
   mc::Engine engine(engine_config(cfg, sampling_only));
   BehaviorCollector collector(&obs, p.locations, &out.behaviors);
   engine.set_listener(&collector);
-  auto stats = engine.explore(p.test_fn(&obs));
-  out.exhausted = stats.exhausted;
-  out.executions = stats.executions;
-  out.rf_classes = stats.rf_classes;
-  out.rf_infeasible = stats.rf_infeasible;
+  static_cast<mc::ExplorationStats&>(out) = engine.explore(p.test_fn(&obs));
   return out;
 }
 

@@ -27,6 +27,7 @@
 
 #include "fuzz/program.h"
 #include "mc/config.h"
+#include "mc/stats.h"
 #include "mc/trail.h"
 
 namespace cds::fuzz {
@@ -65,14 +66,11 @@ struct OracleConfig {
   mc::UnsoundHook unsound_hook = mc::UnsoundHook::kNone;
 };
 
-struct McBehaviors {
+// The exploration's counters plus its behavior set. Sharded runs fold
+// their shards' counters with merge_shard_stats, bit-identical to a
+// serial run.
+struct McBehaviors : mc::ExplorationStats {
   BehaviorSet behaviors;
-  bool exhausted = false;  // DFS enumerated the whole bounded tree
-  std::uint64_t executions = 0;
-  // rf-mode class counters (0 under ExploreMode::kSchedule). Sharded runs
-  // sum them across shards, bit-identical to a serial run.
-  std::uint64_t rf_classes = 0;
-  std::uint64_t rf_infeasible = 0;
 };
 
 // Explores `p` to exhaustion (or, with sampling_only, draws the seeded

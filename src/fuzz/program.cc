@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <sstream>
 
+#include "support/kv.h"
+
 namespace cds::fuzz {
 
 namespace {
@@ -176,8 +178,14 @@ bool Program::parse(const std::string& text, Program* out, std::string* err) {
       continue;
     }
     if (tok[0] == "locations") {
-      if (tok.size() != 2) return fail("locations wants a count" + where());
-      p.locations = std::atoi(tok[1].c_str());
+      std::uint64_t n = 0;
+      if (tok.size() != 2 || !support::parse_u64(tok[1], &n)) {
+        return fail("locations wants a count" + where());
+      }
+      if (n > static_cast<std::uint64_t>(kMaxLocations)) {
+        return fail("locations out of range" + where());
+      }
+      p.locations = static_cast<int>(n);
       continue;
     }
     if (tok[0].size() != 2 || tok[0][0] != 't' || tok[0][1] < '0' ||
@@ -200,15 +208,19 @@ bool Program::parse(const std::string& text, Program* out, std::string* err) {
       int loc = parse_loc(tok[2]);
       if (loc < 0) return fail("bad location" + where());
       op.loc = static_cast<std::uint8_t>(loc);
-      op.value = std::strtoull(tok[3].c_str(), nullptr, 10);
+      if (!support::parse_u64(tok[3], &op.value)) {
+        return fail("bad value '" + tok[3] + "'" + where());
+      }
       if (!parse_order(tok[4], &op.order)) return fail("bad order" + where());
     } else if (tok.size() == 7 && tok[1] == "cas") {
       op.code = OpCode::kCas;
       int loc = parse_loc(tok[2]);
       if (loc < 0) return fail("bad location" + where());
       op.loc = static_cast<std::uint8_t>(loc);
-      op.expected = std::strtoull(tok[3].c_str(), nullptr, 10);
-      op.value = std::strtoull(tok[4].c_str(), nullptr, 10);
+      if (!support::parse_u64(tok[3], &op.expected) ||
+          !support::parse_u64(tok[4], &op.value)) {
+        return fail("bad value" + where());
+      }
       if (!parse_order(tok[5], &op.order)) return fail("bad order" + where());
       if (!parse_order(tok[6], &op.failure))
         return fail("bad failure order" + where());

@@ -11,18 +11,6 @@
 
 namespace cds::harness {
 
-namespace {
-
-void weaken_verdict(mc::Verdict& into, mc::Verdict v) {
-  if (v == mc::Verdict::kFalsified || into == mc::Verdict::kFalsified) {
-    into = mc::Verdict::kFalsified;
-  } else if (v == mc::Verdict::kInconclusive) {
-    into = mc::Verdict::kInconclusive;
-  }
-}
-
-}  // namespace
-
 ShardPipeline::ShardPipeline(const Benchmark& b, const RunOptions& opts,
                              const ShardPipelineOptions& o, int workers,
                              ShardRunResult* out)
@@ -334,14 +322,7 @@ std::uint64_t ShardPipeline::merge() {
       test_exhausted = test_exhausted && sr.stats.exhausted;
       test_falsified = test_falsified || sr.stats.violations_total > 0;
       test_fatals += sr.stats.engine_fatal_execs;
-      total.spec.executions_checked += sr.spec.executions_checked;
-      total.spec.inadmissible_execs += sr.spec.inadmissible_execs;
-      total.spec.assertion_violation_execs +=
-          sr.spec.assertion_violation_execs;
-      total.spec.histories_checked += sr.spec.histories_checked;
-      total.spec.justification_checks += sr.spec.justification_checks;
-      total.spec.history_cap_hit |= sr.spec.history_cap_hit;
-      total.spec.r_cycle_seen |= sr.spec.r_cycle_seen;
+      total.spec.merge(sr.spec);
       total.metrics.merge(sr.metrics);
       // Per-test record cap mirrors the serial engine's: shards merge in
       // DFS order and each records its DFS-first violations, so the first
@@ -366,7 +347,7 @@ std::uint64_t ShardPipeline::merge() {
             : (test_exhausted && test_fatals == 0 && failed_here == 0
                    ? mc::Verdict::kVerifiedExhaustive
                    : mc::Verdict::kInconclusive);
-    weaken_verdict(total.verdict, tv);
+    mc::weaken_verdict(total.verdict, tv);
     total.mc.exhausted = total.mc.exhausted && test_exhausted;
   }
   total.mc.verdict = total.verdict;

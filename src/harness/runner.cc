@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstring>
 
+#include "support/kv.h"
 #include "support/rng.h"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -38,15 +39,6 @@ Detection classify(const RunResult& r) {
   if (r.detected_admissibility()) return Detection::kAdmissibility;
   if (r.detected_assertion()) return Detection::kAssertion;
   return Detection::kNone;
-}
-
-// Merge `v` into `into`, keeping the weaker claim.
-void weaken(mc::Verdict& into, mc::Verdict v) {
-  if (v == mc::Verdict::kFalsified || into == mc::Verdict::kFalsified) {
-    into = mc::Verdict::kFalsified;
-  } else if (v == mc::Verdict::kInconclusive) {
-    into = mc::Verdict::kInconclusive;
-  }
 }
 }  // namespace
 
@@ -105,81 +97,20 @@ const Benchmark* find_benchmark(const std::string& name) {
   return nullptr;
 }
 
-namespace {
-
-// Prior-test accumulations ride inside checkpoints as opaque "prior.*"
-// extras (the engine round-trips them without interpretation), so a
-// kill+resume mid-benchmark restores the totals of every finished test.
 void encode_prior(const RunResult& total, mc::Checkpoint* cp) {
-  auto set = [&](const char* k, std::uint64_t v) {
-    cp->set_extra(std::string("prior.") + k, v);
-  };
-  set("present", 1);
-  set("executions", total.mc.executions);
-  set("feasible", total.mc.feasible);
-  set("pruned_bound", total.mc.pruned_bound);
-  set("pruned_livelock", total.mc.pruned_livelock);
-  set("pruned_redundant", total.mc.pruned_redundant);
-  set("builtin", total.mc.builtin_violation_execs);
-  set("fatal", total.mc.engine_fatal_execs);
-  set("crash", total.mc.crash_execs);
-  set("sampled", total.mc.sampled);
-  set("violations_total", total.mc.violations_total);
-  set("rf_classes", total.mc.rf_classes);
-  set("rf_infeasible", total.mc.rf_infeasible);
-  set("seconds_ms", static_cast<std::uint64_t>(total.mc.seconds * 1000.0));
-  set("max_depth", total.mc.max_trail_depth);
-  set("cap", total.mc.hit_execution_cap ? 1 : 0);
-  set("time", total.mc.hit_time_budget ? 1 : 0);
-  set("mem", total.mc.hit_memory_budget ? 1 : 0);
-  set("watchdog", total.mc.watchdog_fired ? 1 : 0);
-  set("stopped", total.mc.stopped_early ? 1 : 0);
-  set("exhausted", total.mc.exhausted ? 1 : 0);
-  set("verdict", static_cast<std::uint64_t>(total.verdict));
-  set("spec.executions_checked", total.spec.executions_checked);
-  set("spec.inadmissible", total.spec.inadmissible_execs);
-  set("spec.assertions", total.spec.assertion_violation_execs);
-  set("spec.histories", total.spec.histories_checked);
-  set("spec.justifications", total.spec.justification_checks);
-  set("spec.cap_hit", total.spec.history_cap_hit ? 1 : 0);
-  set("spec.r_cycle", total.spec.r_cycle_seen ? 1 : 0);
+  cp->set_extra("prior.present", 1);
+  support::put_fields(cp->extra, "prior.", total.mc);
+  support::put_fields(cp->extra, "prior.spec.", total.spec);
 }
 
 bool decode_prior(const mc::Checkpoint& cp, RunResult* total) {
-  auto get = [&](const char* k) {
-    return cp.extra_value(std::string("prior.") + k);
-  };
-  if (get("present") == 0) return false;
-  total->mc.executions = get("executions");
-  total->mc.feasible = get("feasible");
-  total->mc.pruned_bound = get("pruned_bound");
-  total->mc.pruned_livelock = get("pruned_livelock");
-  total->mc.pruned_redundant = get("pruned_redundant");
-  total->mc.builtin_violation_execs = get("builtin");
-  total->mc.engine_fatal_execs = get("fatal");
-  total->mc.crash_execs = get("crash");
-  total->mc.sampled = get("sampled");
-  total->mc.violations_total = get("violations_total");
-  total->mc.rf_classes = get("rf_classes");
-  total->mc.rf_infeasible = get("rf_infeasible");
-  total->mc.seconds = static_cast<double>(get("seconds_ms")) / 1000.0;
-  total->mc.max_trail_depth = get("max_depth");
-  total->mc.hit_execution_cap = get("cap") != 0;
-  total->mc.hit_time_budget = get("time") != 0;
-  total->mc.hit_memory_budget = get("mem") != 0;
-  total->mc.watchdog_fired = get("watchdog") != 0;
-  total->mc.stopped_early = get("stopped") != 0;
-  total->mc.exhausted = get("exhausted") != 0;
-  total->verdict = static_cast<mc::Verdict>(get("verdict"));
-  total->spec.executions_checked = get("spec.executions_checked");
-  total->spec.inadmissible_execs = get("spec.inadmissible");
-  total->spec.assertion_violation_execs = get("spec.assertions");
-  total->spec.histories_checked = get("spec.histories");
-  total->spec.justification_checks = get("spec.justifications");
-  total->spec.history_cap_hit = get("spec.cap_hit") != 0;
-  total->spec.r_cycle_seen = get("spec.r_cycle") != 0;
+  if (cp.extra_value("prior.present") == 0) return false;
+  support::get_fields(cp.extra, "prior.", &total->mc);
+  support::get_fields(cp.extra, "prior.spec.", &total->spec);
   return true;
 }
+
+namespace {
 
 std::vector<mc::Violation> strip_trails(const std::vector<mc::Violation>& vs) {
   std::vector<mc::Violation> out = vs;
@@ -192,7 +123,9 @@ std::vector<mc::Violation> strip_trails(const std::vector<mc::Violation>& vs) {
 RunResult run_benchmark(const Benchmark& b, const RunOptions& opts) {
   RunResult total;
   total.mc.seed = opts.engine.seed;
-  total.mc.exhausted = true;  // weakened below if any test falls short
+  // Both weakened below if any test falls short.
+  total.mc.exhausted = true;
+  total.mc.verdict = mc::Verdict::kVerifiedExhaustive;
   const bool checkpointing = !opts.engine.checkpoint_path.empty();
 
   // Resume: fast-forward over already-finished tests using the totals
@@ -252,36 +185,9 @@ RunResult run_benchmark(const Benchmark& b, const RunOptions& opts) {
     }
     RunResult r = run_with_spec(b.tests[i], per_test);
     remaining -= r.mc.seconds;
-    total.mc.executions += r.mc.executions;
-    total.mc.feasible += r.mc.feasible;
-    total.mc.pruned_bound += r.mc.pruned_bound;
-    total.mc.pruned_livelock += r.mc.pruned_livelock;
-    total.mc.pruned_redundant += r.mc.pruned_redundant;
-    total.mc.builtin_violation_execs += r.mc.builtin_violation_execs;
-    total.mc.engine_fatal_execs += r.mc.engine_fatal_execs;
-    total.mc.crash_execs += r.mc.crash_execs;
-    total.mc.sampled += r.mc.sampled;
-    total.mc.violations_total += r.mc.violations_total;
-    total.mc.rf_classes += r.mc.rf_classes;
-    total.mc.rf_infeasible += r.mc.rf_infeasible;
-    total.mc.seconds += r.mc.seconds;
-    total.mc.hit_execution_cap |= r.mc.hit_execution_cap;
-    total.mc.hit_time_budget |= r.mc.hit_time_budget;
-    total.mc.hit_memory_budget |= r.mc.hit_memory_budget;
-    total.mc.watchdog_fired |= r.mc.watchdog_fired;
-    total.mc.stopped_early |= r.mc.stopped_early;
-    total.mc.exhausted &= r.mc.exhausted;
-    if (r.mc.max_trail_depth > total.mc.max_trail_depth) {
-      total.mc.max_trail_depth = r.mc.max_trail_depth;
-    }
-    weaken(total.verdict, r.verdict);
-    total.spec.executions_checked += r.spec.executions_checked;
-    total.spec.inadmissible_execs += r.spec.inadmissible_execs;
-    total.spec.assertion_violation_execs += r.spec.assertion_violation_execs;
-    total.spec.histories_checked += r.spec.histories_checked;
-    total.spec.justification_checks += r.spec.justification_checks;
-    total.spec.history_cap_hit |= r.spec.history_cap_hit;
-    total.spec.r_cycle_seen |= r.spec.r_cycle_seen;
+    mc::merge_shard_stats(total.mc, r.mc);
+    mc::weaken_verdict(total.mc.verdict, r.mc.verdict);
+    total.spec.merge(r.spec);
     total.metrics.merge(r.metrics);
     for (auto& v : r.violations) total.violations.push_back(std::move(v));
     for (auto& s : r.reports) total.reports.push_back(std::move(s));
@@ -306,12 +212,12 @@ RunResult run_benchmark(const Benchmark& b, const RunOptions& opts) {
           std::fprintf(stderr, "cds::harness: checkpoint write failed: %s\n",
                        err.c_str());
         }
-      } else if (total.verdict != mc::Verdict::kInconclusive) {
+      } else if (total.mc.verdict != mc::Verdict::kInconclusive) {
         std::remove(opts.engine.checkpoint_path.c_str());
       }
     }
   }
-  total.mc.verdict = total.verdict;
+  total.verdict = total.mc.verdict;
   return total;
 }
 

@@ -103,6 +103,13 @@ void register_benchmark(Benchmark b);
 // one (violation records restored from the checkpoint carry no trails).
 RunResult run_benchmark(const Benchmark& b, const RunOptions& opts = {});
 
+// The finished tests' totals as a checkpoint's "prior.*" extras (the
+// engine round-trips them without interpretation), so a kill+resume
+// mid-benchmark restores them. decode_prior returns false, leaving
+// *total untouched, when the checkpoint carries none.
+void encode_prior(const RunResult& total, mc::Checkpoint* cp);
+bool decode_prior(const mc::Checkpoint& cp, RunResult* total);
+
 // ---------------------------------------------------------------------------
 // Injection experiment (Figure 8)
 // ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@
 // multi-line payloads (violation details, spec reports) are escaped onto
 // single lines so the whole message parses line-by-line:
 //
-//   shard-result v4
-//   stats executions=.. feasible=.. ... exhausted=0|1 preempted=0|1 verdict=0|1|2
+//   shard-result v5
+//   stats executions=.. feasible=.. ... preempted=0|1 verdict=0|1|2
 //   spec checked=.. inadmissible=.. ... r_cycle=0|1
 //   violations <n>
 //   v <wire-kind> <exec_index> <test_index> <nchoices> <escaped detail>
@@ -20,21 +20,21 @@
 //   S 1/2                                  # n trail lines (see below)
 //   end
 //
-// v2 added the metrics section; v3 adds `preempted` and the `frontier`
-// section. A preempted shard (the engine's stop-request hook tripped —
-// work stealing) reports the trail of the last execution it explored as
-// its frontier; the coordinator decomposes the unexplored right-sibling
+// The `stats` and `spec` lines carry every row of the ExplorationStats
+// and SpecChecker::Stats tables (support::render_fields), each key exactly
+// once. A preempted shard (the engine's stop-request hook tripped — work
+// stealing) reports the trail of the last execution it explored as its
+// frontier; the coordinator decomposes the unexplored right-sibling
 // subtrees of that trail into fresh sub-shards (mc::split_remaining_
 // frontier), so the partial result plus the sub-shards' results cover
 // exactly the executions the undisturbed shard would have explored.
 // Complete shards always carry `preempted=0` and an empty frontier.
-// v4 adds the rf-mode class counters (rf_classes, rf_infeasible) to the
-// stats line; they merge by summation, so a --jobs/--dist-workers run
-// reports class counts bit-identical to a serial run.
+// v5 generates both lines from the stats tables (dropping the rf class
+// counter, which duplicated feasible, and adding seed).
 //
-// Parsing is strict-versioned: a stale v1/v2/v3 payload (say, in a journal
-// written by an older build) is treated as corrupt (shard recomputed or
-// failed) rather than silently merged with missing sections.
+// Parsing is strict-versioned: a stale payload (say, in a journal written
+// by an older build) is treated as corrupt (shard recomputed or failed)
+// rather than silently merged with missing or misread fields.
 #ifndef CDS_HARNESS_SHARD_RESULT_H
 #define CDS_HARNESS_SHARD_RESULT_H
 
@@ -69,16 +69,8 @@ struct ShardResult {
 std::string escape_line(const std::string& s);
 std::string unescape_line(const std::string& s);
 
-// Line-format building blocks shared with the dist protocol parser
-// (src/dist/protocol.cc): split on '\n', strict u64, and strict
-// "key=value" token lines where every listed key must appear exactly and
-// no unknown key is tolerated.
+// Splits on '\n'; shared with the dist protocol parser.
 std::vector<std::string> split_lines(const std::string& text);
-bool parse_u64_tok(const char* s, std::uint64_t* out);
-bool parse_kv_tokens(
-    const std::string& line, std::size_t skip_prefix,
-    const std::vector<std::pair<const char*, std::uint64_t*>>& slots,
-    std::string* err);
 
 std::string render_shard_result(const RunResult& r);
 

@@ -3,24 +3,17 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <sstream>
 
 #include "mc/trace.h"
+#include "support/kv.h"
 
 namespace cds::mc {
 
-namespace {
+using support::flatten;
+using support::take_keyword;
 
-bool parse_u64_tok(const std::string& s, std::uint64_t* out) {
-  if (s.empty() || s[0] == '-' || s[0] == '+') return false;
-  errno = 0;
-  char* end = nullptr;
-  unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  if (errno != 0 || end == s.c_str() || *end != '\0') return false;
-  *out = v;
-  return true;
-}
+namespace {
 
 bool parse_double_tok(const std::string& s, double* out) {
   if (s.empty() || s[0] == '-') return false;
@@ -30,14 +23,6 @@ bool parse_double_tok(const std::string& s, double* out) {
   if (errno != 0 || end == s.c_str() || *end != '\0') return false;
   *out = v;
   return true;
-}
-
-std::string flatten(const std::string& s) {
-  std::string out = s;
-  for (char& c : out) {
-    if (c == '\n' || c == '\r') c = ' ';
-  }
-  return out;
 }
 
 std::vector<std::string> significant_lines(const std::string& text) {
@@ -56,62 +41,6 @@ std::vector<std::string> significant_lines(const std::string& text) {
 bool fail(std::string* err, const std::string& what) {
   if (err != nullptr) *err = what;
   return false;
-}
-
-bool take_keyword(const std::string& line, const char* key, std::string* rest) {
-  std::size_t klen = std::strlen(key);
-  if (line.compare(0, klen, key) != 0) return false;
-  if (line.size() == klen) {
-    rest->clear();
-    return true;
-  }
-  if (line[klen] != ' ') return false;
-  *rest = line.substr(klen + 1);
-  return true;
-}
-
-// Parses a "k1=v1 k2=v2 ..." payload against a fixed table of u64 slots,
-// requiring every key exactly once. Shared by the stats and flags lines.
-struct KeySlot {
-  const char* key;
-  std::uint64_t* slot;
-};
-
-bool parse_kv_line(const std::string& rest, const char* what,
-                   const std::vector<KeySlot>& slots, std::string* err) {
-  std::vector<bool> seen(slots.size(), false);
-  std::istringstream cs(rest);
-  std::string kv;
-  while (cs >> kv) {
-    std::size_t eq = kv.find('=');
-    if (eq == std::string::npos) {
-      return fail(err, std::string(what) + ": malformed entry '" + kv + "'");
-    }
-    std::string key = kv.substr(0, eq);
-    std::uint64_t val = 0;
-    if (!parse_u64_tok(kv.substr(eq + 1), &val)) {
-      return fail(err, std::string(what) + ": malformed value in '" + kv + "'");
-    }
-    bool matched = false;
-    for (std::size_t s = 0; s < slots.size(); ++s) {
-      if (key == slots[s].key) {
-        *slots[s].slot = val;
-        seen[s] = true;
-        matched = true;
-        break;
-      }
-    }
-    if (!matched) {
-      return fail(err, std::string(what) + ": unknown key '" + key + "'");
-    }
-  }
-  for (std::size_t s = 0; s < slots.size(); ++s) {
-    if (!seen[s]) {
-      return fail(err, std::string(what) + ": missing key '" +
-                           slots[s].key + "'");
-    }
-  }
-  return true;
 }
 
 }  // namespace
@@ -171,13 +100,7 @@ std::uint64_t Checkpoint::extra_value(const std::string& key,
 }
 
 void Checkpoint::set_extra(const std::string& key, std::uint64_t value) {
-  for (auto& [k, v] : extra) {
-    if (k == key) {
-      v = value;
-      return;
-    }
-  }
-  extra.emplace_back(key, value);
+  support::set_pair(extra, key, value);
 }
 
 std::string render_checkpoint(const Checkpoint& cp) {
@@ -195,23 +118,8 @@ std::string render_checkpoint(const Checkpoint& cp) {
      << " strengthen_sc=" << (cp.strengthen_to_sc ? 1 : 0)
      << " sleep_sets=" << (cp.enable_sleep_sets ? 1 : 0)
      << " explore=" << (cp.explore == ExploreMode::kRf ? 1 : 0) << '\n';
-  const ExplorationStats& st = cp.stats;
-  os << "stats executions=" << st.executions << " feasible=" << st.feasible
-     << " pruned_bound=" << st.pruned_bound
-     << " pruned_livelock=" << st.pruned_livelock
-     << " pruned_redundant=" << st.pruned_redundant
-     << " builtin=" << st.builtin_violation_execs
-     << " fatal=" << st.engine_fatal_execs << " crash=" << st.crash_execs
-     << " violations=" << st.violations_total << " sampled=" << st.sampled
-     << " rf_classes=" << st.rf_classes << " rf_infeasible=" << st.rf_infeasible
-     << " max_depth=" << st.max_trail_depth
+  os << "stats " << support::render_fields(cp.stats)
      << " last_progress=" << cp.last_progress_exec << '\n';
-  os << "flags cap=" << (st.hit_execution_cap ? 1 : 0)
-     << " time=" << (st.hit_time_budget ? 1 : 0)
-     << " mem=" << (st.hit_memory_budget ? 1 : 0)
-     << " watchdog=" << (st.watchdog_fired ? 1 : 0)
-     << " exhausted=" << (st.exhausted ? 1 : 0)
-     << " stopped=" << (st.stopped_early ? 1 : 0) << '\n';
   os << "violations " << cp.violations.size() << '\n';
   for (const Violation& v : cp.violations) {
     os << "v " << wire_name(v.kind) << ' ' << v.execution_index << ' '
@@ -244,7 +152,7 @@ bool parse_checkpoint(const std::string& text, Checkpoint* out,
   }
   std::uint64_t ver = 0;
   if (rest.size() < 2 || rest[0] != 'v' ||
-      !parse_u64_tok(rest.substr(1), &ver)) {
+      !support::parse_u64(rest.substr(1), &ver)) {
     return fail(err, "malformed checkpoint version '" + rest + "'");
   }
   if (ver != Checkpoint::kVersion) {
@@ -260,12 +168,12 @@ bool parse_checkpoint(const std::string& text, Checkpoint* out,
   }
   ++i;
   if (i >= lines.size() || !take_keyword(lines[i], "test_index", &rest) ||
-      !parse_u64_tok(rest, &out->test_index)) {
+      !support::parse_u64(rest, &out->test_index)) {
     return need("'test_index <n>'");
   }
   ++i;
   if (i >= lines.size() || !take_keyword(lines[i], "seed", &rest) ||
-      !parse_u64_tok(rest, &out->seed)) {
+      !support::parse_u64(rest, &out->seed)) {
     return need("'seed <n>'");
   }
   ++i;
@@ -283,7 +191,7 @@ bool parse_checkpoint(const std::string& text, Checkpoint* out,
   }
   ++i;
   if (i >= lines.size() || !take_keyword(lines[i], "rng", &rest) ||
-      !parse_u64_tok(rest, &out->rng_state)) {
+      !support::parse_u64(rest, &out->rng_state)) {
     return need("'rng <state>'");
   }
   ++i;
@@ -296,16 +204,17 @@ bool parse_checkpoint(const std::string& text, Checkpoint* out,
   if (i >= lines.size() || !take_keyword(lines[i], "config", &rest)) {
     return need("'config ...'");
   }
+  std::string why;
   {
     std::uint64_t stale = 0, steps = 0, sc = 0, sleeps = 0, explore = 0;
-    if (!parse_kv_line(rest, "config",
-                       {{"stale", &stale},
-                        {"max_steps", &steps},
-                        {"strengthen_sc", &sc},
-                        {"sleep_sets", &sleeps},
-                        {"explore", &explore}},
-                       err)) {
-      return false;
+    if (!support::parse_kv_line(rest,
+                                {{"stale", &stale},
+                                 {"max_steps", &steps},
+                                 {"strengthen_sc", &sc},
+                                 {"sleep_sets", &sleeps},
+                                 {"explore", &explore}},
+                                &why)) {
+      return fail(err, "config: " + why);
     }
     out->stale_read_bound = static_cast<std::uint32_t>(stale);
     out->max_steps = steps;
@@ -318,55 +227,15 @@ bool parse_checkpoint(const std::string& text, Checkpoint* out,
   if (i >= lines.size() || !take_keyword(lines[i], "stats", &rest)) {
     return need("'stats ...'");
   }
-  ExplorationStats& st = out->stats;
-  if (!parse_kv_line(rest, "stats",
-                     {{"executions", &st.executions},
-                      {"feasible", &st.feasible},
-                      {"pruned_bound", &st.pruned_bound},
-                      {"pruned_livelock", &st.pruned_livelock},
-                      {"pruned_redundant", &st.pruned_redundant},
-                      {"builtin", &st.builtin_violation_execs},
-                      {"fatal", &st.engine_fatal_execs},
-                      {"crash", &st.crash_execs},
-                      {"violations", &st.violations_total},
-                      {"sampled", &st.sampled},
-                      {"rf_classes", &st.rf_classes},
-                      {"rf_infeasible", &st.rf_infeasible},
-                      {"max_depth", &st.max_trail_depth},
-                      {"last_progress", &out->last_progress_exec}},
-                     err)) {
-    return false;
-  }
-  st.seed = out->seed;
-  ++i;
-
-  if (i >= lines.size() || !take_keyword(lines[i], "flags", &rest)) {
-    return need("'flags ...'");
-  }
-  {
-    std::uint64_t cap = 0, time = 0, mem = 0, wd = 0, exh = 0, stop = 0;
-    if (!parse_kv_line(rest, "flags",
-                       {{"cap", &cap},
-                        {"time", &time},
-                        {"mem", &mem},
-                        {"watchdog", &wd},
-                        {"exhausted", &exh},
-                        {"stopped", &stop}},
-                       err)) {
-      return false;
-    }
-    st.hit_execution_cap = cap != 0;
-    st.hit_time_budget = time != 0;
-    st.hit_memory_budget = mem != 0;
-    st.watchdog_fired = wd != 0;
-    st.exhausted = exh != 0;
-    st.stopped_early = stop != 0;
+  if (!support::parse_fields(rest, &out->stats, &why,
+                             {{"last_progress", &out->last_progress_exec}})) {
+    return fail(err, "stats: " + why);
   }
   ++i;
 
   std::uint64_t n = 0;
   if (i >= lines.size() || !take_keyword(lines[i], "violations", &rest) ||
-      !parse_u64_tok(rest, &n)) {
+      !support::parse_u64(rest, &n)) {
     return need("'violations <count>'");
   }
   ++i;
@@ -385,8 +254,8 @@ bool parse_checkpoint(const std::string& text, Checkpoint* out,
     Violation v;
     std::uint64_t tidx = 0;
     if (!parse_violation_kind(kind_tok, &v.kind) ||
-        !parse_u64_tok(exec_tok, &v.execution_index) ||
-        !parse_u64_tok(tidx_tok, &tidx)) {
+        !support::parse_u64(exec_tok, &v.execution_index) ||
+        !support::parse_u64(tidx_tok, &tidx)) {
       return fail(err, "malformed violation line 'v " + rest + "'");
     }
     v.test_index = static_cast<std::uint32_t>(tidx);
@@ -397,7 +266,7 @@ bool parse_checkpoint(const std::string& text, Checkpoint* out,
   }
 
   if (i >= lines.size() || !take_keyword(lines[i], "extra", &rest) ||
-      !parse_u64_tok(rest, &n)) {
+      !support::parse_u64(rest, &n)) {
     return need("'extra <count>'");
   }
   ++i;
@@ -409,7 +278,7 @@ bool parse_checkpoint(const std::string& text, Checkpoint* out,
     std::size_t sp = rest.find(' ');
     std::uint64_t val = 0;
     if (sp == std::string::npos || sp == 0 ||
-        !parse_u64_tok(rest.substr(sp + 1), &val)) {
+        !support::parse_u64(rest.substr(sp + 1), &val)) {
       return fail(err, "malformed extra line 'x " + rest + "'");
     }
     out->extra.emplace_back(rest.substr(0, sp), val);
@@ -417,7 +286,7 @@ bool parse_checkpoint(const std::string& text, Checkpoint* out,
   }
 
   if (i >= lines.size() || !take_keyword(lines[i], "trail", &rest) ||
-      !parse_u64_tok(rest, &n)) {
+      !support::parse_u64(rest, &n)) {
     return need("'trail <count>'");
   }
   ++i;

@@ -14,7 +14,7 @@
 // start instead of a crash.
 //
 // Format (line-oriented, '#' comments, order fixed):
-//   cdsspec-checkpoint v3
+//   cdsspec-checkpoint v4
 //   test msqueue#1
 //   test_index 1
 //   seed 11400714819323198485
@@ -22,12 +22,11 @@
 //   rng 88172645463325252
 //   elapsed 1.250000
 //   config stale=3 max_steps=20000 strengthen_sc=0 sleep_sets=1 explore=0
-//   stats executions=1000 feasible=940 ... last_progress=1000
-//   flags cap=0 time=0 mem=0 watchdog=0 exhausted=0 stopped=0
+//   stats executions=1000 feasible=940 ... verdict=2 last_progress=1000
 //   violations 1
 //   v data-race 17 0 read of 'head' races with write by T2
 //   extra 2
-//   x spec.cur.histories_checked 4200
+//   x spec.cur.histories 4200
 //   x prior.executions 312
 //   trail 3
 //   S 1/2
@@ -49,12 +48,14 @@
 namespace cds::mc {
 
 struct Checkpoint {
+  // v4: the `stats` line carries every ExplorationStats row (mc/stats.h)
+  // and absorbed the old `flags` line; the rf class counter is gone.
   // v3: the exploration mode (--explore schedule|rf) joined the config
   // fingerprint and the stats line gained the rf class counters; a v2
   // checkpoint would resume with those counters silently zeroed.
   // v2: RNG stream change (rejection-sampled Xorshift64::below); resuming a
   // v1 sampling-phase checkpoint would not reproduce the interrupted run.
-  static constexpr int kVersion = 3;
+  static constexpr int kVersion = 4;
 
   // Where the interrupted run was:
   //   kStart    — about to begin this test from scratch (the harness writes
@@ -78,8 +79,8 @@ struct Checkpoint {
   bool enable_sleep_sets = true;
   ExploreMode explore = ExploreMode::kSchedule;
 
-  // Counters and flags of the current (partial) test. `seconds` and
-  // `verdict` are recomputed on resume; the integer fields and budget
+  // Counters and flags of the current (partial) test. `seconds`, `seed`
+  // and `verdict` are recomputed on resume; the integer fields and budget
   // flags carry over exactly.
   ExplorationStats stats;
   std::uint64_t last_progress_exec = 0;  // watchdog bookkeeping

@@ -112,7 +112,6 @@ Engine::Engine(Config cfg)
   m_rf_choice_points_ = &obs_.counter("engine.rf_choice_points");
   m_rf_candidates_ = &obs_.counter("engine.rf_candidates");
   m_sched_choice_points_ = &obs_.counter("engine.schedule_choice_points");
-  m_rf_classes_ = &obs_.counter("engine.rf_classes");
   m_rf_infeasible_ = &obs_.counter("engine.rf_infeasible_prunes");
   m_rf_deferred_reads_ = &obs_.counter("engine.rf_deferred_reads");
   m_rf_wait_choices_ = &obs_.counter("engine.rf_wait_choices");
@@ -286,25 +285,14 @@ bool Engine::tally_execution(ExplorationStats& stats) {
     stats.max_trail_depth = trail_.depth();
   }
   bool keep_going = true;
-  // Each checkable execution in rf mode is one class representative (both
-  // clean completions and built-in-violation executions name a class —
-  // CDSChecker counts buggy executions as explored).
   switch (outcome_) {
     case Outcome::kComplete:
       ++stats.feasible;
-      if (rf_mode_) {
-        ++stats.rf_classes;
-        m_rf_classes_->add();
-      }
       if (listener_ != nullptr) keep_going = listener_->on_execution_complete(*this);
       break;
     case Outcome::kBuiltinViolation:
       ++stats.feasible;
       ++stats.builtin_violation_execs;
-      if (rf_mode_) {
-        ++stats.rf_classes;
-        m_rf_classes_->add();
-      }
       break;
     case Outcome::kPrunedInfeasibleRf:
       ++stats.rf_infeasible;

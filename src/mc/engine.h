@@ -453,7 +453,6 @@ class Engine : public harness::Backend {
   obs::Counter* m_rf_choice_points_ = nullptr;
   obs::Counter* m_rf_candidates_ = nullptr;
   obs::Counter* m_sched_choice_points_ = nullptr;
-  obs::Counter* m_rf_classes_ = nullptr;
   obs::Counter* m_rf_infeasible_ = nullptr;
   obs::Counter* m_rf_deferred_reads_ = nullptr;
   obs::Counter* m_rf_wait_choices_ = nullptr;

@@ -7,8 +7,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <string_view>
 
 #include "support/io.h"
+#include "support/kv.h"
 
 #if defined(__unix__) || defined(__APPLE__)
 #define CDS_MC_SHARD_HAS_FORK 1
@@ -139,10 +141,8 @@ namespace {
     }
     if (line == "q") _exit(0);
     if (line.size() < 3 || line[0] != 'u' || line[1] != ' ') _exit(1);
-    char* end = nullptr;
-    std::size_t idx =
-        static_cast<std::size_t>(std::strtoull(line.c_str() + 2, &end, 10));
-    if (end == nullptr || *end != '\0') _exit(1);
+    std::uint64_t idx = 0;
+    if (!support::parse_u64(std::string_view(line).substr(2), &idx)) _exit(1);
     if (static_cast<std::ptrdiff_t>(idx) == sigkill_on_unit) {
       raise(SIGKILL);  // test hook: die holding the assignment
     }

@@ -7,81 +7,93 @@
 #include <cstdint>
 
 #include "mc/violation.h"
+#include "support/kv.h"
+
+namespace cds::support {
+template <>
+inline constexpr mc::Verdict initial<mc::Verdict> = mc::Verdict::kInconclusive;
+}  // namespace cds::support
 
 namespace cds::mc {
 
-struct ExplorationStats {
-  std::uint64_t executions = 0;        // total explored (DFS + sampled)
-  std::uint64_t feasible = 0;          // completed (checkable) executions
-  std::uint64_t pruned_bound = 0;      // hit the step bound or a budget
-  std::uint64_t pruned_livelock = 0;   // only yielded spinners remained
-  std::uint64_t pruned_redundant = 0;  // sleep-set: prefix covered elsewhere
-  std::uint64_t builtin_violation_execs = 0;
-  std::uint64_t engine_fatal_execs = 0;  // discarded: internal checker error
-  std::uint64_t crash_execs = 0;  // test body crashed; contained (kCrash)
-  std::uint64_t violations_total = 0;  // built-in + spec-layer reports
-  // --- reads-from equivalence mode (Config::ExploreMode::kRf) ----------
-  // Both stay 0 under schedule mode. Like every other counter they are
-  // schedule-independent per subtree, so sharded merges stay bit-identical
-  // to serial runs.
-  std::uint64_t rf_classes = 0;     // feasible rf-class representatives
-  std::uint64_t rf_infeasible = 0;  // wait-starved (infeasible) rf classes
-  bool hit_execution_cap = false;
-  bool stopped_early = false;
-  double seconds = 0.0;
+inline std::uint64_t to_wire(Verdict v) {
+  return static_cast<std::uint64_t>(v);
+}
+inline bool from_wire(std::uint64_t w, Verdict* v) {
+  *v = static_cast<Verdict>(w);
+  return w <= static_cast<std::uint64_t>(Verdict::kInconclusive);
+}
 
-  // --- budgets, degradation, and the verdict ---------------------------
-  std::uint64_t sampled = 0;        // executions from the random-walk phase
-  std::uint64_t max_trail_depth = 0;  // deepest choice sequence (coverage)
-  std::uint64_t seed = 0;           // RNG seed (reproduces sampled runs)
-  bool hit_time_budget = false;
-  bool hit_memory_budget = false;
-  bool watchdog_fired = false;      // no-progress DFS detected
-  bool exhausted = false;           // DFS enumerated the whole bounded tree
-  // The exploration stopped because Config::stop_request tripped (work
-  // stealing): counters cover a prefix of the subtree, and the engine's
-  // preempt_frontier() names the last explored execution so a coordinator
-  // can re-split the remainder. Deliberately NOT merged by
-  // merge_shard_stats — a preempted shard plus its re-split sub-shards
-  // jointly cover the subtree, so the merger clears the flag (and the
-  // stopped_early it implies) before folding the partial result in.
-  bool preempted = false;
-  Verdict verdict = Verdict::kInconclusive;
+// Every ExplorationStats field, declared once: X(type, member, wire key,
+// fold). The members, merge_shard_stats, the shard-result `stats` line,
+// the checkpoint `stats` line and the harness's `prior.*` extras are all
+// generated from this table (see support/kv.h), so adding a counter is
+// one row here plus the line in the engine that bumps it.
+//
+// Disjoint subtree shards partition the executions of a serial run, so
+// counters sum exactly (merged counts from an exhaustive sharded run are
+// bit-identical to the serial run's); budget/stop flags are sticky ORs,
+// exhaustion is an AND (every shard must finish its subtree), and depth
+// is a max. `seconds` sums shard CPU time, so it exceeds wall time when
+// shards ran concurrently.
+#define CDS_EXPLORATION_STATS(X)                                              \
+  X(std::uint64_t, executions, "executions", sum) /* DFS + sampled */        \
+  X(std::uint64_t, feasible, "feasible", sum)     /* completed, checkable */ \
+  X(std::uint64_t, pruned_bound, "pruned_bound", sum) /* step bound/budget */ \
+  X(std::uint64_t, pruned_livelock, "pruned_livelock", sum) /* spinners */   \
+  X(std::uint64_t, pruned_redundant, "pruned_redundant", sum) /* sleep set */ \
+  X(std::uint64_t, builtin_violation_execs, "builtin", sum)                  \
+  X(std::uint64_t, engine_fatal_execs, "fatal", sum) /* internal error */    \
+  X(std::uint64_t, crash_execs, "crash", sum) /* contained kCrash */         \
+  X(std::uint64_t, violations_total, "violations_total", sum) /* + spec */   \
+  /* Wait-starved (infeasible) reads-from classes; 0 in schedule mode. */    \
+  X(std::uint64_t, rf_infeasible, "rf_infeasible", sum)                      \
+  X(std::uint64_t, sampled, "sampled", sum) /* random-walk phase */          \
+  X(std::uint64_t, max_trail_depth, "max_depth", max)                        \
+  X(double, seconds, "seconds_us", sum)                                      \
+  X(bool, hit_execution_cap, "cap", any)                                     \
+  X(bool, stopped_early, "stopped", any)                                     \
+  X(bool, hit_time_budget, "time", any)                                      \
+  X(bool, hit_memory_budget, "mem", any)                                     \
+  X(bool, watchdog_fired, "watchdog", any) /* no-progress DFS */             \
+  X(bool, exhausted, "exhausted", all) /* whole bounded tree enumerated */   \
+  X(std::uint64_t, seed, "seed", keep) /* reproduces sampled runs */         \
+  X(bool, preempted, "preempted", keep)                                      \
+  X(Verdict, verdict, "verdict", keep)
+
+struct ExplorationStats {
+  CDS_EXPLORATION_STATS(CDS_STATS_MEMBER)
+
+  // Calls f(wire_key, field) for every row, in table order; `Self` is
+  // ExplorationStats or const ExplorationStats.
+  template <class Self, class F>
+  static void each(Self& s, F&& f) {
+    CDS_EXPLORATION_STATS(CDS_STATS_VISIT)
+  }
 };
 
-// Folds one shard's stats into an aggregate. Disjoint subtree shards
-// partition the executions of a serial run, so counters sum exactly
-// (merged counts from an exhaustive sharded run are bit-identical to the
-// serial run's); budget/stop flags are sticky ORs, exhaustion is an AND
-// (every shard must finish its subtree), and depth is a max. `seconds`
-// sums shard CPU time, so it exceeds wall time when shards ran
-// concurrently. The verdict is NOT merged here — it needs run-level
-// context (crashed workers, falsifying shard priority); see the parallel
-// driver.
+// `preempted`: the exploration stopped because Config::stop_request
+// tripped (work stealing); counters cover a prefix of the subtree, and
+// the engine's preempt_frontier() names the last explored execution so a
+// coordinator can re-split the remainder. It is not folded: a preempted
+// shard plus its re-split sub-shards jointly cover the subtree, so the
+// merger clears the flag (and the stopped_early it implies) before
+// folding the partial result in. The verdict is not folded either — it
+// needs run-level context (crashed workers, falsifying shard priority);
+// see weaken_verdict and the shard pipeline.
 inline void merge_shard_stats(ExplorationStats& into,
-                              const ExplorationStats& shard) {
-  into.executions += shard.executions;
-  into.feasible += shard.feasible;
-  into.pruned_bound += shard.pruned_bound;
-  into.pruned_livelock += shard.pruned_livelock;
-  into.pruned_redundant += shard.pruned_redundant;
-  into.builtin_violation_execs += shard.builtin_violation_execs;
-  into.engine_fatal_execs += shard.engine_fatal_execs;
-  into.crash_execs += shard.crash_execs;
-  into.violations_total += shard.violations_total;
-  into.rf_classes += shard.rf_classes;
-  into.rf_infeasible += shard.rf_infeasible;
-  into.hit_execution_cap = into.hit_execution_cap || shard.hit_execution_cap;
-  into.stopped_early = into.stopped_early || shard.stopped_early;
-  into.seconds += shard.seconds;
-  into.sampled += shard.sampled;
-  if (shard.max_trail_depth > into.max_trail_depth) {
-    into.max_trail_depth = shard.max_trail_depth;
+                              const ExplorationStats& from) {
+  CDS_EXPLORATION_STATS(CDS_STATS_FOLD)
+}
+
+// Merges `v` into `into`, keeping the weaker claim: falsified beats
+// inconclusive beats verified-exhaustive.
+inline void weaken_verdict(Verdict& into, Verdict v) {
+  if (v == Verdict::kFalsified || into == Verdict::kFalsified) {
+    into = Verdict::kFalsified;
+  } else if (v == Verdict::kInconclusive) {
+    into = Verdict::kInconclusive;
   }
-  into.hit_time_budget = into.hit_time_budget || shard.hit_time_budget;
-  into.hit_memory_budget = into.hit_memory_budget || shard.hit_memory_budget;
-  into.watchdog_fired = into.watchdog_fired || shard.watchdog_fired;
-  into.exhausted = into.exhausted && shard.exhausted;
 }
 
 }  // namespace cds::mc

@@ -6,28 +6,14 @@
 #include <fstream>
 #include <sstream>
 
+#include "support/kv.h"
+
 namespace cds::mc {
 
+using support::flatten;
+using support::take_keyword;
+
 namespace {
-
-// Strict non-negative integer parse: whole token, no sign, no suffix.
-bool parse_u64_tok(const std::string& s, std::uint64_t* out) {
-  if (s.empty() || s[0] == '-' || s[0] == '+') return false;
-  errno = 0;
-  char* end = nullptr;
-  unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  if (errno != 0 || end == s.c_str() || *end != '\0') return false;
-  *out = v;
-  return true;
-}
-
-std::string flatten(const std::string& s) {
-  std::string out = s;
-  for (char& c : out) {
-    if (c == '\n' || c == '\r') c = ' ';
-  }
-  return out;
-}
 
 // Splits `text` into lines, dropping comments and blank lines but keeping
 // 1-based original line numbers for error messages.
@@ -60,19 +46,6 @@ bool fail_at(std::string* err, std::size_t line, const std::string& what) {
   return fail(err, "line " + std::to_string(line) + ": " + what);
 }
 
-// "key value..." accessor: returns the remainder after "key " or nullopt.
-bool take_keyword(const std::string& line, const char* key, std::string* rest) {
-  std::size_t klen = std::strlen(key);
-  if (line.compare(0, klen, key) != 0) return false;
-  if (line.size() == klen) {
-    rest->clear();
-    return true;
-  }
-  if (line[klen] != ' ') return false;
-  *rest = line.substr(klen + 1);
-  return true;
-}
-
 bool parse_one_choice(const std::string& text, std::size_t lineno, Choice* c,
                       std::string* err) {
   // "S <chosen>/<num>" or "R <chosen>/<num>"
@@ -86,8 +59,8 @@ bool parse_one_choice(const std::string& text, std::size_t lineno, Choice* c,
     return fail_at(err, lineno, "malformed choice '" + text + "' (missing '/')");
   }
   std::uint64_t chosen = 0, num = 0;
-  if (!parse_u64_tok(text.substr(2, slash - 2), &chosen) ||
-      !parse_u64_tok(text.substr(slash + 1), &num)) {
+  if (!support::parse_u64(text.substr(2, slash - 2), &chosen) ||
+      !support::parse_u64(text.substr(slash + 1), &num)) {
     return fail_at(err, lineno, "malformed choice '" + text + "' (bad number)");
   }
   if (num < 2 || num >= 0x10000) {
@@ -230,7 +203,7 @@ bool parse_trail(const std::string& text, TrailFile* out, std::string* err) {
   }
   std::uint64_t ver = 0;
   if (rest.size() < 2 || rest[0] != 'v' ||
-      !parse_u64_tok(rest.substr(1), &ver)) {
+      !support::parse_u64(rest.substr(1), &ver)) {
     return fail_at(err, line().number, "malformed version '" + rest + "'");
   }
   if (ver != TrailFile::kVersion) {
@@ -251,7 +224,7 @@ bool parse_trail(const std::string& text, TrailFile* out, std::string* err) {
   ++i;
 
   if (i >= lines.size() || !take_keyword(line().text, "seed", &rest) ||
-      !parse_u64_tok(rest, &out->seed)) {
+      !support::parse_u64(rest, &out->seed)) {
     return need("'seed <n>'");
   }
   ++i;
@@ -292,44 +265,25 @@ bool parse_trail(const std::string& text, TrailFile* out, std::string* err) {
                 "sleep_sets=...'");
   }
   {
-    std::size_t cfg_line = line().number;
-    std::istringstream cs(rest);
-    std::string kv;
-    int seen = 0;
-    while (cs >> kv) {
-      std::size_t eq = kv.find('=');
-      if (eq == std::string::npos) {
-        return fail_at(err, cfg_line, "malformed config entry '" + kv + "'");
-      }
-      std::string key = kv.substr(0, eq);
-      std::uint64_t val = 0;
-      if (!parse_u64_tok(kv.substr(eq + 1), &val)) {
-        return fail_at(err, cfg_line, "malformed config value in '" + kv + "'");
-      }
-      if (key == "stale") {
-        out->stale_read_bound = static_cast<std::uint32_t>(val);
-      } else if (key == "max_steps") {
-        out->max_steps = val;
-      } else if (key == "strengthen_sc") {
-        out->strengthen_to_sc = val != 0;
-      } else if (key == "sleep_sets") {
-        out->enable_sleep_sets = val != 0;
-      } else {
-        return fail_at(err, cfg_line, "unknown config key '" + key + "'");
-      }
-      ++seen;
+    std::uint64_t stale = 0, sc = 0, sleeps = 0;
+    std::string why;
+    if (!support::parse_kv_line(rest,
+                                {{"stale", &stale},
+                                 {"max_steps", &out->max_steps},
+                                 {"strengthen_sc", &sc},
+                                 {"sleep_sets", &sleeps}},
+                                &why)) {
+      return fail_at(err, line().number, "config: " + why);
     }
-    if (seen < 4) {
-      return fail_at(err, cfg_line,
-                     "config line must carry stale, max_steps, strengthen_sc "
-                     "and sleep_sets");
-    }
+    out->stale_read_bound = static_cast<std::uint32_t>(stale);
+    out->strengthen_to_sc = sc != 0;
+    out->enable_sleep_sets = sleeps != 0;
   }
   ++i;
 
   std::uint64_t n = 0;
   if (i >= lines.size() || !take_keyword(line().text, "choices", &rest) ||
-      !parse_u64_tok(rest, &n)) {
+      !support::parse_u64(rest, &n)) {
     return need("'choices <count>'");
   }
   ++i;
@@ -344,7 +298,7 @@ bool parse_trail(const std::string& text, TrailFile* out, std::string* err) {
                      err)) {
     if (err != nullptr && err->rfind("line ", 0) == 0) {
       std::size_t raw_no = 0;
-      if (parse_u64_tok(err->substr(5, err->find(':') - 5), &raw_no) &&
+      if (support::parse_u64(err->substr(5, err->find(':') - 5), &raw_no) &&
           raw_no >= 1 && raw_no <= lines.size()) {
         *err = "line " + std::to_string(lines[raw_no - 1].number) +
                err->substr(err->find(':'));

@@ -27,6 +27,8 @@
 #include <string>
 #include <vector>
 
+#include "support/kv.h"
+
 namespace cds::obs {
 
 struct Counter {
@@ -241,14 +243,14 @@ class Registry {
     };
     if (tok.size() < 3) return fail("short metric line", tok.size());
     std::uint64_t v0 = 0;
-    if (!parse_u64(tok[2], &v0)) return fail("bad metric value", 2);
+    if (!support::parse_u64(tok[2], &v0)) return fail("bad metric value", 2);
     if (tok[0] == "c" && tok.size() == 3) {
       counters_[tok[1]].value = v0;
     } else if (tok[0] == "g" && tok.size() == 3) {
       gauges_[tok[1]].value = v0;
     } else if (tok[0] == "t" && tok.size() == 4) {
       std::uint64_t cnt = 0;
-      if (!parse_u64(tok[3], &cnt)) return fail("bad timer count", 3);
+      if (!support::parse_u64(tok[3], &cnt)) return fail("bad timer count", 3);
       Timer& t = timers_[tok[1]];
       t.total_ns = v0;
       t.count = cnt;
@@ -259,7 +261,9 @@ class Registry {
       Histogram h{};
       h.samples = v0;
       for (std::size_t i = 3; i < tok.size(); ++i) {
-        if (!parse_u64(tok[i], &h.buckets[i - 3])) return fail("bad bucket", i);
+        if (!support::parse_u64(tok[i], &h.buckets[i - 3])) {
+          return fail("bad bucket", i);
+        }
       }
       histograms_[tok[1]] = h;
     } else {
@@ -291,16 +295,6 @@ class Registry {
       i = j;
     }
     return tok;
-  }
-  static bool parse_u64(const std::string& s, std::uint64_t* out) {
-    if (s.empty()) return false;
-    std::uint64_t v = 0;
-    for (char ch : s) {
-      if (ch < '0' || ch > '9') return false;
-      v = v * 10 + static_cast<std::uint64_t>(ch - '0');
-    }
-    *out = v;
-    return true;
   }
 
   std::map<std::string, Counter> counters_;

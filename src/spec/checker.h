@@ -22,6 +22,7 @@
 #include "spec/annotations.h"
 #include "spec/history.h"
 #include "spec/specification.h"
+#include "support/kv.h"
 
 namespace cds::spec {
 
@@ -42,14 +43,29 @@ class SpecChecker : public mc::ExecutionListener {
     std::uint64_t seed = 0x5DEECE66Dull;
   };
 
+  // Every Stats field, declared once: X(type, member, wire key, fold), as
+  // for mc::ExplorationStats (mc/stats.h). All counters are
+  // per-execution-pure, so sharded runs sum to the serial values.
+#define CDS_SPEC_STATS(X)                                      \
+  X(std::uint64_t, executions_checked, "checked", sum)         \
+  X(std::uint64_t, inadmissible_execs, "inadmissible", sum)    \
+  X(std::uint64_t, assertion_violation_execs, "assertions", sum) \
+  X(std::uint64_t, histories_checked, "histories", sum)        \
+  X(std::uint64_t, justification_checks, "justifications", sum) \
+  X(bool, history_cap_hit, "cap_hit", any)                     \
+  X(bool, r_cycle_seen, "r_cycle", any)
+
   struct Stats {
-    std::uint64_t executions_checked = 0;
-    std::uint64_t inadmissible_execs = 0;
-    std::uint64_t assertion_violation_execs = 0;
-    std::uint64_t histories_checked = 0;
-    std::uint64_t justification_checks = 0;
-    bool history_cap_hit = false;
-    bool r_cycle_seen = false;
+    CDS_SPEC_STATS(CDS_STATS_MEMBER)
+
+    template <class Self, class F>
+    static void each(Self& s, F&& f) {
+      CDS_SPEC_STATS(CDS_STATS_VISIT)
+    }
+    void merge(const Stats& from) {
+      Stats& into = *this;
+      CDS_SPEC_STATS(CDS_STATS_FOLD)
+    }
   };
 
   SpecChecker();

@@ -8,6 +8,7 @@
 // as fenced, never double-merged.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
@@ -16,6 +17,7 @@
 #include <vector>
 
 #if defined(__unix__) || defined(__APPLE__)
+#include <poll.h>
 #include <sys/wait.h>
 #include <unistd.h>
 #endif
@@ -307,6 +309,46 @@ TEST(DistFenceSlow, StaleEpochResultIsFencedNotMerged) {
   expect_bit_identical(serial, r.merged);
   std::remove(path.c_str());
 }
+
+#if defined(__linux__)
+// Local workers of the automatic socket die with their coordinator: a
+// SIGKILLed coordinator's successor listens on a new path, so an orphan
+// could only dial a dead socket until its connect deadline (10 s or more).
+// The coordinator's stderr is a pipe its workers inherit; EOF on it means
+// every worker has exited.
+TEST(DistResumeSlow, AutoSocketWorkersExitWithTheirKilledCoordinator) {
+  fuzz::Program p;
+  std::vector<std::uint64_t> obs;
+  harness::Benchmark b =
+      make_litmus_benchmark("bench-shape", kMpRelacqWide, &p, &obs);
+  const std::string path = tmp_path("dist-orphans.journal");
+  std::remove(path.c_str());
+  int fds[2];
+  ASSERT_EQ(pipe(fds), 0);
+  run_until_sigkilled([&] {
+    close(fds[0]);
+    dup2(fds[1], 2);
+    close(fds[1]);
+    dist::DistOptions d;
+    d.dist_workers = 2;
+    d.journal_path = path;
+    d.coord_chaos.kill_after_append = 3;
+    (void)dist::run_benchmark_distributed(b, harness::RunOptions{}, d);
+  });
+  close(fds[1]);
+  const auto t0 = std::chrono::steady_clock::now();
+  bool eof = false;
+  char buf[4096];
+  while (!eof && std::chrono::steady_clock::now() - t0 <
+                     std::chrono::seconds(3)) {
+    pollfd pfd{fds[0], POLLIN, 0};
+    if (poll(&pfd, 1, 100) > 0) eof = read(fds[0], buf, sizeof buf) <= 0;
+  }
+  close(fds[0]);
+  std::remove(path.c_str());
+  EXPECT_TRUE(eof) << "a worker outlived its coordinator by 3 s";
+}
+#endif  // __linux__
 
 #endif  // __unix__ || __APPLE__
 

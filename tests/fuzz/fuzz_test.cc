@@ -79,6 +79,16 @@ TEST(FuzzProgram, ParseRejectsMalformed) {
   EXPECT_FALSE(
       Program::parse("litmus v1\nlocations 2\nt0 load x release\n", &p, &err))
       << "release-form load must not parse as valid";
+  // Values parse strictly: no silent 0 for junk, no truncated suffix.
+  for (const char* op : {"t0 store x abc relaxed", "t0 store x 1z relaxed",
+                         "t0 rmw x -1 relaxed",
+                         "t0 cas x 0 99999999999999999999 seq_cst relaxed",
+                         "t0 cas x z 1 seq_cst relaxed"}) {
+    EXPECT_FALSE(Program::parse(
+        std::string("litmus v1\nlocations 2\n") + op + "\n", &p, &err))
+        << op;
+    EXPECT_NE(err.find("(line 3)"), std::string::npos) << op << ": " << err;
+  }
 }
 
 TEST(FuzzProgram, ValidateRejectsIllegalOrders) {

@@ -55,7 +55,7 @@ Program load_program(const std::string& path) {
 
 // Both modes to exhaustion on `p`; returns {schedule, rf} and asserts the
 // core equivalence: identical behavior sets, rf counters only in rf mode,
-// and the class count bounded by the schedule execution count.
+// and enough feasible rf-mode executions to witness every behavior.
 std::pair<McBehaviors, McBehaviors> explore_both(const Program& p,
                                                  const OracleConfig& base,
                                                  const std::string& label) {
@@ -68,17 +68,16 @@ std::pair<McBehaviors, McBehaviors> explore_both(const Program& p,
   EXPECT_TRUE(s.exhausted) << label;
   EXPECT_TRUE(r.exhausted) << label;
   EXPECT_EQ(s.behaviors, r.behaviors) << label << ": modes disagree";
-  EXPECT_EQ(s.rf_classes, 0u) << label;
   EXPECT_EQ(s.rf_infeasible, 0u) << label;
-  EXPECT_GT(r.rf_classes, 0u) << label;
-  // Note: rf_classes is NOT bounded by the schedule-mode execution count.
-  // rf mode still enumerates interleavings, so one rf assignment reached
-  // from two schedules completes twice, and on tiny programs that can
-  // exceed schedule mode's sleep-set-pruned total. The sound bounds are
-  // against the rf-mode run itself.
-  EXPECT_LE(r.rf_classes, r.executions) << label;
-  // Every behavior needs at least one class representative to witness it.
-  EXPECT_GE(r.rf_classes, r.behaviors.size()) << label;
+  EXPECT_GT(r.feasible, 0u) << label;
+  // Note: rf-mode feasible executions are NOT bounded by the schedule-mode
+  // execution count. rf mode still enumerates interleavings, so one rf
+  // assignment reached from two schedules completes twice, and on tiny
+  // programs that can exceed schedule mode's sleep-set-pruned total. The
+  // sound bounds are against the rf-mode run itself.
+  EXPECT_LE(r.feasible, r.executions) << label;
+  // Every behavior needs at least one feasible execution to witness it.
+  EXPECT_GE(r.feasible, r.behaviors.size()) << label;
   return {s, r};
 }
 
@@ -105,7 +104,7 @@ TEST(RfEquivalence, ShardedRfCountersAreBitIdenticalToSerial) {
     McBehaviors b = fuzz::mc_behaviors(p, sharded);
     EXPECT_EQ(a.behaviors, b.behaviors) << path;
     EXPECT_EQ(a.executions, b.executions) << path;
-    EXPECT_EQ(a.rf_classes, b.rf_classes) << path;
+    EXPECT_EQ(a.feasible, b.feasible) << path;
     EXPECT_EQ(a.rf_infeasible, b.rf_infeasible) << path;
     EXPECT_EQ(a.exhausted, b.exhausted) << path;
   }

@@ -1,34 +1,29 @@
-// Shard-result wire (v4): render/parse round trip including the rf-mode
-// class counters, strict rejection of stale wire versions, and the
-// merge-by-summation property the --jobs/--dist mergers rely on for
-// bit-identical class counts.
+// Shard-result wire (v5) and the stats tables behind it: every row of
+// ExplorationStats and SpecChecker::Stats round-trips through the shard
+// wire, the checkpoint and the prior.*/spec.cur.* extras and folds by its
+// kind; strict rejection of stale wire versions and malformed stats lines.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
 #include <string>
 
+#include "harness/runner.h"
 #include "harness/shard_result.h"
+#include "mc/checkpoint.h"
+#include "support/stats_fill.h"
 
 namespace cds {
 namespace {
 
+using testing_support::distinct_fields;
+using testing_support::rows;
+
 harness::RunResult full_result() {
   harness::RunResult r;
-  r.mc.executions = 120;
-  r.mc.feasible = 100;
-  r.mc.pruned_bound = 5;
-  r.mc.pruned_livelock = 3;
-  r.mc.pruned_redundant = 12;
-  r.mc.builtin_violation_execs = 1;
-  r.mc.violations_total = 2;
-  r.mc.rf_classes = 41;
-  r.mc.rf_infeasible = 59;
-  r.mc.sampled = 7;
-  r.mc.max_trail_depth = 18;
-  r.mc.exhausted = true;
-  r.mc.verdict = mc::Verdict::kFalsified;
-  r.spec.executions_checked = 100;
-  r.spec.histories_checked = 400;
-  r.spec.justification_checks = 80;
+  r.mc = distinct_fields<mc::ExplorationStats>(0);
+  r.mc.preempted = false;
+  r.spec = distinct_fields<spec::SpecChecker::Stats>(0);
   r.violations.push_back(mc::Violation{
       mc::ViolationKind::kSpecAssertion, "postcondition of deq()=1 failed",
       17, {mc::Choice{mc::ChoiceKind::kReadsFrom, 1, 3}}, 0});
@@ -39,14 +34,13 @@ harness::RunResult full_result() {
 TEST(ShardResult, RoundTripCarriesRfCounters) {
   harness::RunResult r = full_result();
   std::string wire = harness::render_shard_result(r);
-  EXPECT_EQ(wire.rfind("shard-result v4", 0), 0u) << wire;
+  EXPECT_EQ(wire.rfind("shard-result v5", 0), 0u) << wire;
   harness::ShardResult back;
   std::string err;
   ASSERT_TRUE(harness::parse_shard_result(wire, &back, &err)) << err;
-  EXPECT_EQ(back.stats.executions, r.mc.executions);
-  EXPECT_EQ(back.stats.rf_classes, 41u);
-  EXPECT_EQ(back.stats.rf_infeasible, 59u);
-  EXPECT_EQ(back.stats.verdict, mc::Verdict::kFalsified);
+  EXPECT_EQ(back.stats.rf_infeasible, r.mc.rf_infeasible);
+  EXPECT_EQ(rows(back.stats), rows(r.mc));
+  EXPECT_EQ(rows(back.spec), rows(r.spec));
   ASSERT_EQ(back.violations.size(), 1u);
   EXPECT_EQ(back.violations[0].detail, r.violations[0].detail);
   ASSERT_EQ(back.reports.size(), 1u);
@@ -55,47 +49,167 @@ TEST(ShardResult, RoundTripCarriesRfCounters) {
 
 TEST(ShardResult, StaleWireVersionsAreRejected) {
   // A payload left by an older build (say, in a journal) must read as
-  // corrupt, not merge with the rf counters silently missing.
+  // corrupt, not merge with fields missing or misread.
   std::string wire = harness::render_shard_result(full_result());
   for (const char* old : {"shard-result v1", "shard-result v2",
-                          "shard-result v3"}) {
+                          "shard-result v3", "shard-result v4"}) {
     std::string stale = wire;
     stale.replace(0, 15, old);
     harness::ShardResult back;
     std::string err;
     EXPECT_FALSE(harness::parse_shard_result(stale, &back, &err)) << old;
     EXPECT_NE(err.find("stale wire version"), std::string::npos) << err;
+    EXPECT_NE(err.find(old), std::string::npos) << err;
   }
 }
 
 TEST(ShardResult, MissingRfKeyIsRejected) {
-  std::string wire = harness::render_shard_result(full_result());
-  std::size_t at = wire.find(" rf_classes=41");
-  ASSERT_NE(at, std::string::npos);
-  wire.erase(at, 14);
-  harness::ShardResult back;
-  std::string err;
-  EXPECT_FALSE(harness::parse_shard_result(wire, &back, &err));
-  EXPECT_NE(err.find("missing keys"), std::string::npos) << err;
+  // Each edit of the stats line must fail the parse, naming the reason.
+  const harness::RunResult r = full_result();
+  const std::string wire = harness::render_shard_result(r);
+  const std::string feasible = " feasible=" + std::to_string(r.mc.feasible);
+  const std::string infeasible =
+      " rf_infeasible=" + std::to_string(r.mc.rf_infeasible);
+  const std::string verdict =
+      " verdict=" + std::to_string(static_cast<int>(r.mc.verdict));
+  struct Edit {
+    std::string from, to;
+    const char* why;
+  };
+  const Edit edits[] = {
+      {infeasible, "", "missing key 'rf_infeasible'"},
+      // A repeated key must not stand in for a missing one.
+      {feasible, " executions=7", "duplicate key 'executions'"},
+      {feasible, " feasible= 5", "malformed"},
+      {feasible, " feasible=123456789012345678901", "malformed value"},
+      {feasible, " feasible=-1", "malformed value"},
+      {feasible, " bogus=1", "unknown key 'bogus'"},
+      {verdict, " verdict=7", "out of range"},
+  };
+  for (const Edit& e : edits) {
+    std::string bad = wire;
+    const std::size_t at = bad.find(e.from);
+    ASSERT_NE(at, std::string::npos) << e.from;
+    bad.replace(at, e.from.size(), e.to);
+    harness::ShardResult back;
+    std::string err;
+    EXPECT_FALSE(harness::parse_shard_result(bad, &back, &err)) << e.to;
+    EXPECT_NE(err.find(e.why), std::string::npos) << e.to << ": " << err;
+  }
 }
 
 TEST(ShardResult, MergeSumsRfCountersExactly) {
   mc::ExplorationStats total;
   total.exhausted = true;
-  std::uint64_t want_classes = 0, want_infeasible = 0;
+  std::uint64_t want_infeasible = 0;
   for (std::uint64_t i = 1; i <= 4; ++i) {
     mc::ExplorationStats shard;
     shard.executions = 10 * i;
-    shard.rf_classes = 3 * i;
     shard.rf_infeasible = 7 * i;
     shard.exhausted = true;
-    want_classes += shard.rf_classes;
     want_infeasible += shard.rf_infeasible;
     mc::merge_shard_stats(total, shard);
   }
-  EXPECT_EQ(total.rf_classes, want_classes);
   EXPECT_EQ(total.rf_infeasible, want_infeasible);
   EXPECT_TRUE(total.exhausted);
+}
+
+// Every row, filled with distinct values, through every codec the tables
+// generate: the shard wire, the checkpoint `stats` line, the harness's
+// prior.* extras and the spec checker's spec.cur.* extras.
+TEST(StatsTable, EveryRowRoundTripsThroughEveryCodec) {
+  std::set<std::string> keys;
+  for (const auto& [k, v] : rows(mc::ExplorationStats{})) keys.insert(k);
+  EXPECT_EQ(keys.size(), rows(mc::ExplorationStats{}).size())
+      << "wire keys must be unique";
+
+  for (std::uint64_t pass = 0; pass < 5; ++pass) {
+    SCOPED_TRACE("pass " + std::to_string(pass));
+    harness::RunResult r;
+    r.mc = distinct_fields<mc::ExplorationStats>(pass);
+    r.spec = distinct_fields<spec::SpecChecker::Stats>(pass);
+    if (r.mc.preempted) {
+      r.frontier = {mc::Choice{mc::ChoiceKind::kSchedule, 0, 2}};
+    }
+    std::string err;
+
+    harness::ShardResult wire;
+    ASSERT_TRUE(harness::parse_shard_result(harness::render_shard_result(r),
+                                            &wire, &err))
+        << err;
+    EXPECT_EQ(rows(wire.stats), rows(r.mc));
+    EXPECT_EQ(rows(wire.spec), rows(r.spec));
+
+    mc::Checkpoint cp;
+    cp.stats = r.mc;
+    cp.last_progress_exec = 77 + pass;
+    harness::encode_prior(r, &cp);
+    support::put_fields(cp.extra, "spec.cur.", r.spec);
+    mc::Checkpoint back;
+    ASSERT_TRUE(mc::parse_checkpoint(mc::render_checkpoint(cp), &back, &err))
+        << err;
+    EXPECT_EQ(rows(back.stats), rows(r.mc));
+    EXPECT_EQ(back.last_progress_exec, 77 + pass);
+
+    harness::RunResult prior;
+    ASSERT_TRUE(harness::decode_prior(back, &prior));
+    EXPECT_EQ(rows(prior.mc), rows(r.mc));
+    EXPECT_EQ(rows(prior.spec), rows(r.spec));
+
+    spec::SpecChecker checker;
+    checker.restore_from_checkpoint(back);
+    EXPECT_EQ(rows(checker.stats()), rows(r.spec));
+    support::KvPairs extra;
+    checker.on_checkpoint(extra);
+    for (const auto& [k, v] : extra) {
+      EXPECT_EQ(back.extra_value(k, ~0ull), v) << k;
+    }
+  }
+}
+
+// Fold checks by kind, expanded over the tables themselves.
+template <class T>
+void check_sum(const char* row, T a, T b, T m) {
+  EXPECT_EQ(m, a + b) << row;
+}
+void check_any(const char* row, bool a, bool b, bool m) {
+  EXPECT_EQ(m, a || b) << row;
+}
+void check_all(const char* row, bool a, bool b, bool m) {
+  EXPECT_EQ(m, a && b) << row;
+}
+void check_max(const char* row, std::uint64_t a, std::uint64_t b,
+               std::uint64_t m) {
+  EXPECT_EQ(m, std::max(a, b)) << row;
+}
+template <class T>
+void check_keep(const char* row, T a, T, T m) {
+  EXPECT_EQ(m, a) << row;
+}
+#define CHECK_FOLD(type, member, key, fold) \
+  check_##fold(#member, a.member, b.member, m.member);
+
+TEST(StatsTable, EveryRowFoldsByItsKind) {
+  // Passes p and q give every boolean row all four (a, b) combinations.
+  for (std::uint64_t p = 0; p < 5; ++p) {
+    for (std::uint64_t q = 0; q < 5; ++q) {
+      SCOPED_TRACE("passes " + std::to_string(p) + "," + std::to_string(q));
+      {
+        const auto a = distinct_fields<mc::ExplorationStats>(p);
+        const auto b = distinct_fields<mc::ExplorationStats>(q);
+        mc::ExplorationStats m = a;
+        mc::merge_shard_stats(m, b);
+        CDS_EXPLORATION_STATS(CHECK_FOLD)
+      }
+      {
+        const auto a = distinct_fields<spec::SpecChecker::Stats>(p);
+        const auto b = distinct_fields<spec::SpecChecker::Stats>(q);
+        spec::SpecChecker::Stats m = a;
+        m.merge(b);
+        CDS_SPEC_STATS(CHECK_FOLD)
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -20,6 +20,7 @@
 #include "mc/checkpoint.h"
 #include "mc/engine.h"
 #include "mc/trace.h"
+#include "support/stats_fill.h"
 
 namespace cds {
 namespace {
@@ -37,25 +38,7 @@ mc::Checkpoint full_checkpoint() {
   cp.strengthen_to_sc = true;
   cp.enable_sleep_sets = false;
   cp.explore = mc::ExploreMode::kRf;
-  cp.stats.executions = 1000;
-  cp.stats.feasible = 940;
-  cp.stats.pruned_bound = 10;
-  cp.stats.pruned_livelock = 20;
-  cp.stats.pruned_redundant = 30;
-  cp.stats.builtin_violation_execs = 2;
-  cp.stats.engine_fatal_execs = 1;
-  cp.stats.crash_execs = 1;
-  cp.stats.violations_total = 3;
-  cp.stats.sampled = 128;
-  cp.stats.rf_classes = 77;
-  cp.stats.rf_infeasible = 88;
-  cp.stats.max_trail_depth = 42;
-  cp.stats.hit_execution_cap = true;
-  cp.stats.hit_time_budget = true;
-  cp.stats.hit_memory_budget = false;
-  cp.stats.watchdog_fired = true;
-  cp.stats.exhausted = false;
-  cp.stats.stopped_early = true;
+  cp.stats = testing_support::distinct_fields<mc::ExplorationStats>(1);
   cp.last_progress_exec = 998;
   cp.violations.push_back(mc::Violation{
       mc::ViolationKind::kDataRace, "read of 'head' races with write by T2",
@@ -83,25 +66,7 @@ void expect_equal(const mc::Checkpoint& a, const mc::Checkpoint& b) {
   EXPECT_EQ(a.strengthen_to_sc, b.strengthen_to_sc);
   EXPECT_EQ(a.enable_sleep_sets, b.enable_sleep_sets);
   EXPECT_EQ(a.explore, b.explore);
-  EXPECT_EQ(a.stats.executions, b.stats.executions);
-  EXPECT_EQ(a.stats.feasible, b.stats.feasible);
-  EXPECT_EQ(a.stats.pruned_bound, b.stats.pruned_bound);
-  EXPECT_EQ(a.stats.pruned_livelock, b.stats.pruned_livelock);
-  EXPECT_EQ(a.stats.pruned_redundant, b.stats.pruned_redundant);
-  EXPECT_EQ(a.stats.builtin_violation_execs, b.stats.builtin_violation_execs);
-  EXPECT_EQ(a.stats.engine_fatal_execs, b.stats.engine_fatal_execs);
-  EXPECT_EQ(a.stats.crash_execs, b.stats.crash_execs);
-  EXPECT_EQ(a.stats.violations_total, b.stats.violations_total);
-  EXPECT_EQ(a.stats.sampled, b.stats.sampled);
-  EXPECT_EQ(a.stats.rf_classes, b.stats.rf_classes);
-  EXPECT_EQ(a.stats.rf_infeasible, b.stats.rf_infeasible);
-  EXPECT_EQ(a.stats.max_trail_depth, b.stats.max_trail_depth);
-  EXPECT_EQ(a.stats.hit_execution_cap, b.stats.hit_execution_cap);
-  EXPECT_EQ(a.stats.hit_time_budget, b.stats.hit_time_budget);
-  EXPECT_EQ(a.stats.hit_memory_budget, b.stats.hit_memory_budget);
-  EXPECT_EQ(a.stats.watchdog_fired, b.stats.watchdog_fired);
-  EXPECT_EQ(a.stats.exhausted, b.stats.exhausted);
-  EXPECT_EQ(a.stats.stopped_early, b.stats.stopped_early);
+  EXPECT_EQ(testing_support::rows(a.stats), testing_support::rows(b.stats));
   EXPECT_EQ(a.last_progress_exec, b.last_progress_exec);
   ASSERT_EQ(a.violations.size(), b.violations.size());
   for (std::size_t i = 0; i < a.violations.size(); ++i) {
@@ -182,26 +147,36 @@ TEST(Checkpoint, CorruptedFieldsAreRejectedWithActionableErrors) {
     EXPECT_NE(err.find(expect_msg), std::string::npos)
         << "'" << from << "' -> '" << to << "': " << err;
   };
-  reject("cdsspec-checkpoint v3", "cdsspec-checkpoint v7",
+  reject("cdsspec-checkpoint v4", "cdsspec-checkpoint v7",
          "unsupported checkpoint version v7");
-  // A stale pre-rf checkpoint would resume with the rf class counters
-  // silently zeroed; the version gate turns that into a fresh start.
-  reject("cdsspec-checkpoint v3", "cdsspec-checkpoint v2",
+  // A stale checkpoint would resume with counters silently zeroed or
+  // misread; the version gate turns that into a fresh start.
+  reject("cdsspec-checkpoint v4", "cdsspec-checkpoint v3",
+         "unsupported checkpoint version v3");
+  reject("cdsspec-checkpoint v4", "cdsspec-checkpoint v2",
          "unsupported checkpoint version v2");
   reject("phase sampling", "phase lunch", "unknown phase");
   reject("executions=", "exekutions=", "unknown key");
-  reject("feasible=940", "feasible=nine", "malformed value");
-  reject("watchdog=1", "watchdog", "malformed entry");
+  reject("feasible=", "feasible=nine", "malformed value");
+  reject("watchdog=", "watchdog", "malformed entry");
+  // A repeated key must not stand in for a missing one.
+  reject(" feasible=" + std::to_string(full_checkpoint().stats.feasible),
+         " executions=7", "duplicate key 'executions'");
+  reject("feasible=", "feasible= ", "malformed value");
+  reject("feasible=", "feasible=123456789012345678901", "malformed value");
+  reject("max_steps=", "max_steps=-", "malformed value");
   reject("v data-race", "v data-rice", "malformed violation line");
   reject("x prior.executions 312", "x prior.executions", "malformed extra");
   reject("S 1/2", "S 9/2", "out of range");
 }
 
 TEST(Checkpoint, MissingStatsKeyIsRejected) {
-  std::string text = mc::render_checkpoint(full_checkpoint());
-  std::size_t at = text.find(" sampled=128");
+  const mc::Checkpoint cp = full_checkpoint();
+  std::string text = mc::render_checkpoint(cp);
+  const std::string sampled = " sampled=" + std::to_string(cp.stats.sampled);
+  std::size_t at = text.find(sampled);
   ASSERT_NE(at, std::string::npos);
-  text.erase(at, 12);
+  text.erase(at, sampled.size());
   mc::Checkpoint back;
   std::string err;
   EXPECT_FALSE(mc::parse_checkpoint(text, &back, &err));
@@ -296,7 +271,6 @@ void expect_stats_converged(const mc::ExplorationStats& a,
   EXPECT_EQ(a.sampled, b.sampled);
   EXPECT_EQ(a.max_trail_depth, b.max_trail_depth);
   EXPECT_EQ(a.violations_total, b.violations_total);
-  EXPECT_EQ(a.rf_classes, b.rf_classes);
   EXPECT_EQ(a.rf_infeasible, b.rf_infeasible);
   EXPECT_EQ(a.exhausted, b.exhausted);
   EXPECT_EQ(a.verdict, b.verdict);
@@ -352,7 +326,7 @@ TEST(Checkpoint, RfDfsResumeConvergesToUninterruptedStats) {
 
   mc::ExplorationStats base = mc::Engine(cfg).explore(cyclic_body);
   ASSERT_TRUE(base.exhausted);
-  ASSERT_GT(base.rf_classes, 0u) << "rf mode must count class representatives";
+  ASSERT_GT(base.feasible, 0u) << "rf mode must complete some executions";
 
   mc::Config capped = cfg;
   capped.checkpoint_path = path;
@@ -372,8 +346,8 @@ TEST(Checkpoint, RfDfsResumeConvergesToUninterruptedStats) {
   EXPECT_NE(cp.fingerprint_mismatch(sched).find("--explore"),
             std::string::npos);
 
-  // Resume without the cap: bit-identical stats, including the class
-  // counters (the interrupted prefix's classes carry over exactly).
+  // Resume without the cap: bit-identical stats, including the rf
+  // counters (the interrupted prefix's counts carry over exactly).
   mc::Engine resumed(cfg);
   resumed.set_resume(cp);
   expect_stats_converged(resumed.explore(cyclic_body), base);

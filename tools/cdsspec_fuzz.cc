@@ -49,6 +49,7 @@
 #include "fuzz/program.h"
 #include "mc/trace.h"
 #include "obs/metrics.h"
+#include "support/kv.h"
 #include "support/rng.h"
 
 namespace {
@@ -72,15 +73,8 @@ void usage() {
       "exit codes: 0 all oracles agreed, 1 disagreement found, 2 usage\n");
 }
 
-bool parse_u64(const char* s, std::uint64_t* out) {
-  if (s == nullptr || *s == '\0' || *s == '-' || *s == '+') return false;
-  errno = 0;
-  char* end = nullptr;
-  unsigned long long v = std::strtoull(s, &end, 10);
-  if (errno != 0 || end == s || *end != '\0') return false;
-  *out = v;
-  return true;
-}
+// Strict: decimal digits that fit in 64 bits ("-3", "2x", "", " 5" fail).
+using cds::support::parse_u64;
 
 bool parse_double(const char* s, double* out) {
   if (s == nullptr || *s == '\0' || *s == '-') return false;
@@ -162,8 +156,8 @@ bool apply_witness_test_name(const std::string& name, cds::fuzz::Program* p) {
     idx = idx.substr(0, idx.size() - 5);
   }
   std::uint64_t t = 0, i = 0;
-  if (!parse_u64(rest.substr(0, dot).c_str(), &t) ||
-      !parse_u64(idx.c_str(), &i)) {
+  if (!parse_u64(rest.substr(0, dot), &t) ||
+      !parse_u64(idx, &i)) {
     return false;
   }
   site.thread = static_cast<int>(t);

@@ -61,6 +61,7 @@
 #include "obs/trace_export.h"
 #include "spec/checker.h"
 #include "spec/render.h"
+#include "support/kv.h"
 #include "support/rng.h"
 
 namespace {
@@ -94,16 +95,11 @@ void usage() {
       "            (also replay divergence / resume mismatch), 3 inconclusive\n");
 }
 
-// Strict numeric parsing: the whole argument must be a non-negative
-// number. Rejects the silent garbage atoi accepts ("-3", "2x", "").
+// Strict numeric parsing: the whole argument must be decimal digits
+// that fit in 64 bits. Rejects the silent garbage atoi accepts ("-3",
+// "2x", "", " 5").
 bool parse_u64(const char* s, std::uint64_t* out) {
-  if (s == nullptr || *s == '\0' || *s == '-' || *s == '+') return false;
-  errno = 0;
-  char* end = nullptr;
-  unsigned long long v = std::strtoull(s, &end, 10);
-  if (errno != 0 || end == s || *end != '\0') return false;
-  *out = v;
-  return true;
+  return cds::support::parse_u64(s, out);
 }
 
 bool parse_double(const char* s, double* out) {
@@ -328,12 +324,9 @@ void print_result(const cds::harness::RunResult& r, bool reports) {
       static_cast<unsigned long long>(r.mc.pruned_bound),
       static_cast<unsigned long long>(r.mc.pruned_redundant),
       static_cast<unsigned long long>(r.mc.engine_fatal_execs));
-  if (r.mc.rf_classes > 0 || r.mc.rf_infeasible > 0) {
-    // rf mode only: each class is one representative execution of a
-    // distinct (rf,mo,sc) equivalence class; infeasible counts wait
-    // branches no later write ever satisfied.
-    std::printf("rf-classes=%llu rf-infeasible=%llu\n",
-                static_cast<unsigned long long>(r.mc.rf_classes),
+  if (r.mc.rf_infeasible > 0) {
+    // rf mode only: wait branches no later write ever satisfied.
+    std::printf("rf-infeasible=%llu\n",
                 static_cast<unsigned long long>(r.mc.rf_infeasible));
   }
   std::printf(
@@ -441,8 +434,6 @@ void print_result_json(const std::string& benchmark,
               static_cast<unsigned long long>(r.mc.pruned_livelock));
   std::printf("    \"pruned_redundant\": %llu,\n",
               static_cast<unsigned long long>(r.mc.pruned_redundant));
-  std::printf("    \"rf_classes\": %llu,\n",
-              static_cast<unsigned long long>(r.mc.rf_classes));
   std::printf("    \"rf_infeasible\": %llu,\n",
               static_cast<unsigned long long>(r.mc.rf_infeasible));
   std::printf("    \"max_trail_depth\": %llu,\n",
