@@ -1,15 +1,15 @@
 #include "dist/journal.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cerrno>
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
 
-#include "mc/checkpoint.h"
+#include "mc/stats.h"
 #include "mc/trace.h"
 #include "support/io.h"
+#include "support/kv.h"
 
 #if defined(__unix__) || defined(__APPLE__)
 #define CDS_DIST_JOURNAL_POSIX 1
@@ -23,7 +23,9 @@ namespace cds::dist {
 
 namespace {
 
-constexpr const char* kMagic = "cdsspec-journal v1";
+// v2: the config fingerprint became render_fields(mc::ConfigFingerprint),
+// so a v1 journal's fingerprint can never match; it is refused by version.
+constexpr const char* kMagic = "cdsspec-journal v2";
 
 std::string with_crc(std::string body) {
   char suffix[16];
@@ -37,7 +39,7 @@ std::string with_crc(std::string body) {
 }  // namespace
 
 std::string render_journal_record(const JournalRecord& r) {
-  using harness::escape_line;
+  using support::escape_line;
   std::string body;
   char hex[40];
   switch (r.kind) {
@@ -83,74 +85,67 @@ bool parse_journal_record(const std::string& line, JournalRecord* out,
   // everything before it.
   if (line.size() < 15) return fail("record too short");
   const std::size_t cpos = line.size() - 14;
-  if (line.compare(cpos, 6, " #crc=") != 0) {
-    return fail("missing crc suffix");
-  }
-  std::uint32_t want = 0;
-  for (std::size_t k = cpos + 6; k < line.size(); ++k) {
-    const char c = line[k];
-    if (!std::isxdigit(static_cast<unsigned char>(c))) {
-      return fail("malformed crc suffix");
-    }
-    want = want * 16u +
-           static_cast<std::uint32_t>(
-               c <= '9' ? c - '0' : std::tolower(c) - 'a' + 10);
+  std::uint64_t want = 0;
+  if (line.compare(cpos, 6, " #crc=") != 0 ||
+      !support::parse_hex32(std::string_view(line).substr(cpos + 6), &want)) {
+    return fail("missing or malformed crc suffix");
   }
   const std::string body = line.substr(0, cpos);
   if (support::crc32(body) != want) return fail("crc mismatch");
 
+  // "<verb> k=v ... [<tail>=<escaped free text>]": the numeric fields
+  // parse strictly (support::parse_kv_line); a record's free-text field,
+  // if it has one, is last and runs to the end of the body.
   JournalRecord r;
-  unsigned long long a = 0, b = 0;
-  unsigned h1 = 0, h2 = 0;
-  int pos = -1;
-  const char* s = body.c_str();
-  const int len = static_cast<int>(body.size());
-  if (std::sscanf(s,
-                  "run epoch=%llu shards=%llu planhash=%8x fingerprint=%8x "
-                  "bench=%n",
-                  &a, &b, &h1, &h2, &pos) == 4 &&
-      pos > 0) {
+  std::string_view fields = body;
+  const std::string_view verb = support::take_word(&fields);
+  std::string why;
+  auto tail = [&](const char* key, std::string* to) {
+    const std::string k = std::string(" ") + key + "=";
+    const std::size_t at = fields.find(k);
+    if (at == std::string_view::npos) return false;
+    *to = support::unescape_line(fields.substr(at + k.size()));
+    fields = fields.substr(0, at);
+    return true;
+  };
+  bool ok = false;
+  if (verb == "run") {
+    std::uint64_t plan = 0, fp = 0;
     r.kind = JournalRecord::Kind::kRun;
-    r.epoch = a;
-    r.shards = b;
-    r.plan_hash = h1;
-    r.fingerprint = h2;
-    r.bench = harness::unescape_line(body.substr(static_cast<std::size_t>(pos)));
-    if (r.bench.empty()) return fail("run record with empty bench");
-  } else if (std::sscanf(s, "lease shard=%llu attempt=%llu%n", &a, &b, &pos) ==
-                 2 &&
-             pos == len) {
+    ok = tail("bench", &r.bench) && !r.bench.empty() &&
+         support::parse_kv_line(
+             fields,
+             {{"epoch", &r.epoch},
+              {"shards", &r.shards},
+              {"planhash", &plan, support::parse_hex32},
+              {"fingerprint", &fp, support::parse_hex32}},
+             &why);
+    r.plan_hash = static_cast<std::uint32_t>(plan);
+    r.fingerprint = static_cast<std::uint32_t>(fp);
+  } else if (verb == "lease") {
     r.kind = JournalRecord::Kind::kLease;
-    r.shard = a;
-    r.attempt = b;
-  } else if (std::sscanf(s, "result shard=%llu attempt=%llu payload=%n", &a,
-                         &b, &pos) == 2 &&
-             pos > 0) {
-    r.kind = JournalRecord::Kind::kResult;
-    r.shard = a;
-    r.attempt = b;
-    r.payload =
-        harness::unescape_line(body.substr(static_cast<std::size_t>(pos)));
-  } else if (std::sscanf(s, "mint parent=%llu count=%llu%n", &a, &b, &pos) ==
-                 2 &&
-             pos == len) {
+    ok = support::parse_kv_line(
+        fields, {{"shard", &r.shard}, {"attempt", &r.attempt}}, &why);
+  } else if (verb == "result" || verb == "failed") {
+    const bool result = verb == "result";
+    r.kind = result ? JournalRecord::Kind::kResult
+                    : JournalRecord::Kind::kFailed;
+    ok = tail(result ? "payload" : "reason", &r.payload) &&
+         support::parse_kv_line(
+             fields, {{"shard", &r.shard}, {"attempt", &r.attempt}}, &why);
+  } else if (verb == "mint") {
     r.kind = JournalRecord::Kind::kMint;
-    r.shard = a;
-    r.count = b;
-  } else if (std::sscanf(s, "failed shard=%llu attempt=%llu reason=%n", &a, &b,
-                         &pos) == 2 &&
-             pos > 0) {
-    r.kind = JournalRecord::Kind::kFailed;
-    r.shard = a;
-    r.attempt = b;
-    r.payload =
-        harness::unescape_line(body.substr(static_cast<std::size_t>(pos)));
-  } else if (std::sscanf(s, "done verdict=%llu%n", &a, &pos) == 1 &&
-             pos == len) {
+    ok = support::parse_kv_line(
+        fields, {{"parent", &r.shard}, {"count", &r.count}}, &why);
+  } else if (verb == "done") {
+    mc::Verdict v{};
     r.kind = JournalRecord::Kind::kDone;
-    r.verdict = a;
-  } else {
-    return fail("unknown or malformed record");
+    ok = support::parse_kv_line(fields, {{"verdict", &r.verdict}}, &why) &&
+         from_wire(r.verdict, &v);
+  }
+  if (!ok) {
+    return fail("unknown or malformed record" +
+                (why.empty() ? std::string() : " (" + why + ")"));
   }
   *out = std::move(r);
   return true;
@@ -171,7 +166,8 @@ std::uint32_t journal_plan_hash(const std::vector<harness::ShardUnit>& units) {
 }
 
 std::uint32_t journal_config_fingerprint(const mc::Config& engine) {
-  return support::crc32(mc::render_config_fingerprint(engine));
+  return support::crc32(
+      support::render_fields(mc::ConfigFingerprint::from(engine)));
 }
 
 bool load_journal(const std::string& path, JournalReplay* out,
@@ -195,6 +191,19 @@ bool load_journal(const std::string& path, JournalReplay* out,
   }
 
   const std::string magic = std::string(kMagic) + "\n";
+  const std::string family = "cdsspec-journal v";
+  const std::size_t nl = data.find('\n');
+  if (nl != std::string::npos && data.compare(0, family.size(), family) == 0 &&
+      data.compare(0, magic.size(), magic) != 0) {
+    // An intact header of another version: the journal is not damaged,
+    // just unreadable by this build, so refuse it by name and keep it.
+    if (err) {
+      *err = "'" + path + "' is a " + data.substr(0, nl) +
+             " journal; this build reads " + kMagic +
+             " (delete it, or resume with the build that wrote it)";
+    }
+    return false;
+  }
   if (data.size() < magic.size() ||
       data.compare(0, magic.size(), magic) != 0) {
     // The header itself is damaged: nothing in the file can be trusted,

@@ -15,13 +15,19 @@
 // Format (line-oriented; one record per line; `<esc>` = harness
 // escape_line, so multi-line payloads ride on a single line):
 //
-//   cdsspec-journal v1
+//   cdsspec-journal v2
 //   run epoch=<e> shards=<n> planhash=<8hex> fingerprint=<8hex> bench=<esc> #crc=<8hex>
 //   lease shard=<i> attempt=<id> #crc=<8hex>
 //   result shard=<i> attempt=<id> payload=<esc shard-result v5 text> #crc=<8hex>
 //   mint parent=<i> count=<n> #crc=<8hex>
 //   failed shard=<i> attempt=<id> reason=<esc> #crc=<8hex>
 //   done verdict=<v> #crc=<8hex>
+//
+// Numeric fields are strict (support::parse_kv_line: decimal u64, each
+// key exactly once; the hex digests exactly eight lowercase digits), and
+// a record's one free-text field comes last. v2: the config fingerprint
+// became the checksum of render_fields(mc::ConfigFingerprint); a v1
+// journal is refused by version rather than as a config mismatch.
 //
 // Every record carries a CRC-32 of its own body; a torn or corrupted
 // tail (power loss mid-append, bit rot) is detected on load, set aside
@@ -53,7 +59,7 @@ struct JournalRecord {
   std::uint64_t epoch = 0;
   std::uint64_t shards = 0;       // planned shard count
   std::uint32_t plan_hash = 0;    // journal_plan_hash of the planned units
-  std::uint32_t fingerprint = 0;  // crc32(mc::render_config_fingerprint)
+  std::uint32_t fingerprint = 0;  // journal_config_fingerprint
   std::string bench;
 
   // kLease / kResult / kFailed (kMint: `shard` is the preempted parent).
@@ -81,8 +87,9 @@ bool parse_journal_record(const std::string& line, JournalRecord* out,
 // land on the identical partition before any journaled result is trusted.
 std::uint32_t journal_plan_hash(const std::vector<harness::ShardUnit>& units);
 
-// Digest of the exploration-shaping config (mc::render_config_fingerprint
-// checksummed), pairing with the plan hash in the run header.
+// Digest of the exploration-shaping config (render_fields of its
+// mc::ConfigFingerprint, checksummed), pairing with the plan hash in the
+// run header.
 std::uint32_t journal_config_fingerprint(const mc::Config& engine);
 
 struct JournalReplay {
@@ -99,8 +106,9 @@ struct JournalReplay {
 // start), not an error. A torn or corrupt tail is quarantined to
 // "<path>.quarantined" and the journal truncated back to its last good
 // record so subsequent appends continue a clean file; a file whose magic
-// header is damaged is quarantined whole. Returns false only on a
-// filesystem-level failure reading the file.
+// header is damaged is quarantined whole. Returns false, leaving the file
+// in place, for a journal of another version (the message names both)
+// or a filesystem-level failure reading the file.
 bool load_journal(const std::string& path, JournalReplay* out,
                   std::string* err);
 

@@ -14,7 +14,7 @@
 //
 //   coordinator -> worker
 //     welcome cdsspec-dist v1 hb_us=<heartbeat us> epoch=<incarnation>
-//     assign <shard_id> <nbytes>\n<nbytes of shard-assign v1 text>
+//     assign <shard_id> <nbytes>\n<nbytes of shard-assign v2 text>
 //     steal <shard_id>
 //     quit
 //
@@ -27,9 +27,24 @@
 // started) worker needs to reproduce the coordinator's exploration tree
 // bit-exactly: the benchmark key, the unit (test index, subtree prefix,
 // pre-derived seed and sampling budget), and the tree-shaping and budget
-// configuration. Parsing is strict: unknown keys, missing keys, bad
-// counts, or truncation reject the whole message with a line/token
-// diagnostic and leave the output object untouched.
+// configuration:
+//
+//   shard-assign v2
+//   id <shard_id>
+//   bench <escaped benchmark key>
+//   unit test=<i> ordinal=<k> total=<n> seed=<engine seed> samples=<n>
+//   engine seed=.. stale=.. ... explore=.. threads=.. ... unsound=..
+//   checker histories=.. sampled=.. ... seed=..
+//   prefix <n>
+//   S 1/2                                  # n subtree-prefix choices
+//   end
+//
+// The `engine` and `checker` lines carry every row of the mc::Config and
+// SpecChecker::Options tables (support::render_fields). v2 generates them
+// from those tables, which added the exploration mode: a v1 worker ran
+// schedule mode under rf prefixes. Parsing is strict: unknown keys,
+// missing keys, bad counts, or truncation reject the whole message with a
+// line/token diagnostic and leave the output object untouched.
 #ifndef CDS_DIST_PROTOCOL_H
 #define CDS_DIST_PROTOCOL_H
 
@@ -43,6 +58,7 @@
 namespace cds::dist {
 
 inline constexpr const char* kProtocolVersion = "cdsspec-dist v1";
+inline constexpr std::uint64_t kAssignVersion = 2;
 
 // ---------------------------------------------------------------------------
 // Control lines

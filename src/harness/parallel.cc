@@ -37,6 +37,13 @@ ShardPipeline::ShardPipeline(const Benchmark& b, const RunOptions& opts,
   out_.shards = shards.size();
 }
 
+bool ShardPipeline::refuse_resume(std::string why) {
+  out_.resume_error = std::move(why);
+  out_.merged.verdict = mc::Verdict::kInconclusive;
+  out_.merged.mc.verdict = out_.merged.verdict;
+  return false;
+}
+
 bool ShardPipeline::open_journal() {
   if (o_.journal_path.empty()) return true;
   // Hash the freshly planned units BEFORE replay mints sub-shards: this
@@ -50,8 +57,10 @@ bool ShardPipeline::open_journal() {
   if (o_.resume) {
     dist::JournalReplay rep;
     std::string jerr;
+    // An unreadable journal (another version, an I/O error) is refused:
+    // starting fresh would truncate it.
     if (!dist::load_journal(o_.journal_path, &rep, &jerr)) {
-      std::fprintf(stderr, "cds::harness: %s; starting fresh\n", jerr.c_str());
+      return refuse_resume(jerr);
     }
     out_.journal_quarantined_bytes = rep.quarantined_bytes;
     if (!rep.quarantine_note.empty()) {
@@ -69,17 +78,14 @@ bool ShardPipeline::open_journal() {
     if (hdr != nullptr) {
       if (hdr->bench != b_.name || hdr->fingerprint != fp ||
           hdr->plan_hash != plan_hash || hdr->shards != planned.size()) {
-        out_.resume_error =
+        return refuse_resume(
             "journal '" + o_.journal_path + "' records a different " +
             (hdr->bench != b_.name
                  ? "benchmark ('" + hdr->bench + "')"
                  : hdr->fingerprint != fp ? std::string("config fingerprint")
                                           : std::string("shard plan")) +
             "; refusing to merge incompatible shards (delete the journal "
-            "or rerun with the original parameters)";
-        out_.merged.verdict = mc::Verdict::kInconclusive;
-        out_.merged.mc.verdict = out_.merged.verdict;
-        return false;
+            "or rerun with the original parameters)");
       }
       out_.resumed = true;
       epoch = rep.last_epoch + 1;

@@ -71,8 +71,8 @@ struct ShardPipelineOptions {
   // Replay an existing journal before running: shards it records are
   // satisfied from their journaled results, only the rest recompute, and
   // this incarnation runs under a bumped epoch. A journal recorded under
-  // a different benchmark/config/shard plan sets resume_error instead of
-  // merging incompatible state. With no journal on disk, resume degrades
+  // a different benchmark/config/shard plan, or unreadable, sets
+  // resume_error instead of merging incompatible state. With no journal on disk, resume degrades
   // to a fresh run.
   bool resume = false;
   // Coordinator-side fault injection (journal-append crash windows).
@@ -138,7 +138,8 @@ class ShardPipeline {
                 ShardRunResult* out);
 
   // Step 2. Returns false, with out->resume_error set and the verdict
-  // inconclusive, when the journal on disk records a different plan.
+  // inconclusive, when the journal on disk records a different plan or
+  // cannot be read (another journal version, an I/O error).
   bool open_journal();
 
   // Appends `r` write-ahead. A failed append is reported once and the run
@@ -180,6 +181,7 @@ class ShardPipeline {
              std::string* why) const;
   std::size_t apply(std::size_t sidx, ShardResult sr);
   void replay(const dist::JournalReplay& rep);
+  bool refuse_resume(std::string why);
 
   const Benchmark& b_;
   const RunOptions& opts_;

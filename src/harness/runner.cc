@@ -110,16 +110,6 @@ bool decode_prior(const mc::Checkpoint& cp, RunResult* total) {
   return true;
 }
 
-namespace {
-
-std::vector<mc::Violation> strip_trails(const std::vector<mc::Violation>& vs) {
-  std::vector<mc::Violation> out = vs;
-  for (mc::Violation& v : out) v.trail.clear();
-  return out;
-}
-
-}  // namespace
-
 RunResult run_benchmark(const Benchmark& b, const RunOptions& opts) {
   RunResult total;
   total.mc.seed = opts.engine.seed;
@@ -171,7 +161,7 @@ RunResult run_benchmark(const Benchmark& b, const RunOptions& opts) {
     if (checkpointing) {
       per_test.checkpoint_base = mc::Checkpoint{};
       encode_prior(total, &per_test.checkpoint_base);
-      per_test.checkpoint_base.violations = strip_trails(total.violations);
+      per_test.checkpoint_base.violations = total.violations;
     }
     mc::Checkpoint engine_resume;
     if (resume_cp != nullptr && i == first_test &&
@@ -201,12 +191,12 @@ RunResult run_benchmark(const Benchmark& b, const RunOptions& opts) {
     if (checkpointing) {
       if (i + 1 < b.tests.size()) {
         mc::Checkpoint cp;
-        cp.fingerprint_from(opts.engine);
+        cp.config = mc::ConfigFingerprint::from(opts.engine);
         cp.test_name = b.name + "#" + std::to_string(i + 1);
         cp.test_index = static_cast<std::uint32_t>(i + 1);
         cp.phase = mc::Checkpoint::Phase::kStart;
         encode_prior(total, &cp);
-        cp.violations = strip_trails(total.violations);
+        cp.violations = total.violations;
         std::string err;
         if (!mc::write_checkpoint_file(opts.engine.checkpoint_path, cp, &err)) {
           std::fprintf(stderr, "cds::harness: checkpoint write failed: %s\n",

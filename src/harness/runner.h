@@ -100,7 +100,7 @@ void register_benchmark(Benchmark b);
 // checkpoint back through RunOptions::resume skips already-finished tests
 // and resumes the interrupted one mid-exploration; the resumed run
 // converges to the same aggregate stats and verdict as an uninterrupted
-// one (violation records restored from the checkpoint carry no trails).
+// one, violation records and their trails included.
 RunResult run_benchmark(const Benchmark& b, const RunOptions& opts = {});
 
 // The finished tests' totals as a checkpoint's "prior.*" extras (the

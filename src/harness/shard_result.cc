@@ -10,51 +10,19 @@
 
 namespace cds::harness {
 
-std::string escape_line(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '\\') {
-      out += "\\\\";
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
-std::string unescape_line(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    if (s[i] == '\\' && i + 1 < s.size()) {
-      out += s[i + 1] == 'n' ? '\n' : s[i + 1];
-      ++i;
-    } else {
-      out += s[i];
-    }
-  }
-  return out;
-}
-
 namespace {
-constexpr const char* kWireVersion = "shard-result v5";
+constexpr std::uint64_t kWireVersion = 5;
 }  // namespace
 
+using support::escape_line;
+using support::unescape_line;
+
 std::string render_shard_result(const RunResult& r) {
-  std::string s = std::string(kWireVersion) + "\n";
+  std::string s = "shard-result v" + std::to_string(kWireVersion) + "\n";
   s += "stats " + support::render_fields(r.mc) + "\n";
   s += "spec " + support::render_fields(r.spec) + "\n";
   s += "violations " + std::to_string(r.violations.size()) + "\n";
-  for (const mc::Violation& v : r.violations) {
-    s += std::string("v ") + mc::wire_name(v.kind) + " " +
-         std::to_string(v.execution_index) + " " +
-         std::to_string(v.test_index) + " " + std::to_string(v.trail.size()) +
-         " " + escape_line(v.detail) + "\n";
-    s += mc::render_choices(v.trail);
-  }
+  for (const mc::Violation& v : r.violations) s += mc::render_violation(v);
   s += "reports " + std::to_string(r.reports.size()) + "\n";
   for (const std::string& rep : r.reports) {
     s += "rep " + escape_line(rep) + "\n";
@@ -70,128 +38,48 @@ std::string render_shard_result(const RunResult& r) {
   return s;
 }
 
-std::vector<std::string> split_lines(const std::string& text) {
-  std::vector<std::string> lines;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    std::size_t nl = text.find('\n', start);
-    if (nl == std::string::npos) {
-      if (start < text.size()) lines.push_back(text.substr(start));
-      break;
-    }
-    lines.push_back(text.substr(start, nl - start));
-    start = nl + 1;
-  }
-  return lines;
-}
-
 bool parse_shard_result(const std::string& text, ShardResult* out,
                         std::string* err) {
   // Parse into a scratch result and commit only on success, so a
   // rejected message never leaves *out partially populated.
   ShardResult res;
-  std::vector<std::string> lines = split_lines(text);
-  std::size_t i = 0;
-  auto next = [&]() -> const std::string* {
-    return i < lines.size() ? &lines[i++] : nullptr;
-  };
-  // Diagnostics carry the 1-based line number of the offending line (the
-  // one most recently consumed).
-  auto fail = [&](const std::string& why) {
-    *err = "line " + std::to_string(i == 0 ? 1 : i) + ": " + why;
-    return false;
-  };
-  // "<word> <n>": a section header with its entry count.
-  auto count = [&](const char* word, std::uint64_t* n) {
-    const std::string* c = next();
-    std::string rest;
-    return c != nullptr && support::take_keyword(*c, word, &rest) &&
-           support::parse_u64(rest, n) && *n <= lines.size();
-  };
+  support::LineReader r(text, support::LineReader::Kind::kWire, err);
+  std::string_view rest;
   std::string why;
-  const std::string* l = next();
-  if (l == nullptr || *l != kWireVersion) {
-    if (l != nullptr && l->rfind("shard-result ", 0) == 0) {
-      return fail("stale wire version '" + *l + "' (this build reads '" +
-                  kWireVersion + "')");
+  if (!r.header("shard-result", kWireVersion)) return false;
+  if (!r.expect("stats", &rest)) return false;
+  if (!support::parse_fields(rest, &res.stats, &why)) {
+    return r.fail("stats: " + why);
+  }
+  if (!r.expect("spec", &rest)) return false;
+  if (!support::parse_fields(rest, &res.spec, &why)) {
+    return r.fail("spec: " + why);
+  }
+  std::uint64_t n = 0;
+  if (!r.count("violations", &n)) return false;
+  res.violations.resize(n);
+  for (mc::Violation& v : res.violations) {
+    if (!mc::parse_violation(r, &v)) return false;
+  }
+  if (!r.count("reports", &n)) return false;
+  for (std::uint64_t k = 0; k < n; ++k) {
+    if (!r.expect("rep", &rest)) return false;
+    res.reports.push_back(unescape_line(rest));
+  }
+  if (!r.count("metrics", &n)) return false;
+  for (std::uint64_t k = 0; k < n; ++k) {
+    if (!r.expect("m", &rest)) return false;
+    if (!res.metrics.parse_wire_line(std::string(rest), &why)) {
+      return r.fail(why);
     }
-    return fail("not a shard result");
   }
-  l = next();
-  if (l == nullptr || l->rfind("stats ", 0) != 0) {
-    return fail("missing stats line");
-  }
-  if (!support::parse_fields(std::string_view(*l).substr(6), &res.stats,
-                             &why)) {
-    return fail("stats: " + why);
-  }
-  l = next();
-  if (l == nullptr || l->rfind("spec ", 0) != 0) {
-    return fail("missing spec line");
-  }
-  if (!support::parse_fields(std::string_view(*l).substr(5), &res.spec,
-                             &why)) {
-    return fail("spec: " + why);
-  }
-
-  std::uint64_t nviol = 0;
-  if (!count("violations", &nviol)) return fail("bad violations count");
-  for (std::uint64_t k = 0; k < nviol; ++k) {
-    l = next();
-    if (l == nullptr || l->rfind("v ", 0) != 0) {
-      return fail("missing violation line");
-    }
-    // "v <kind> <exec> <test> <nchoices> <detail>"
-    std::vector<std::string> tok;
-    std::size_t pos = 2;
-    for (int t = 0; t < 4 && pos < l->size(); ++t) {
-      std::size_t sp = l->find(' ', pos);
-      tok.push_back(l->substr(pos, sp == std::string::npos ? sp : sp - pos));
-      pos = sp == std::string::npos ? l->size() : sp + 1;
-    }
-    if (tok.size() != 4) return fail("malformed violation line");
-    mc::Violation v;
-    std::uint64_t exec = 0, ti = 0, nch = 0;
-    if (!mc::parse_violation_kind(tok[0], &v.kind) ||
-        !support::parse_u64(tok[1], &exec) ||
-        !support::parse_u64(tok[2], &ti) || !support::parse_u64(tok[3], &nch)) {
-      return fail("malformed violation line");
-    }
-    v.execution_index = exec;
-    v.test_index = static_cast<std::uint32_t>(ti);
-    v.detail = unescape_line(pos <= l->size() ? l->substr(pos) : "");
-    if (!mc::parse_choices(lines, &i, nch, &v.trail, &why)) return fail(why);
-    res.violations.push_back(std::move(v));
-  }
-
-  std::uint64_t nrep = 0;
-  if (!count("reports", &nrep)) return fail("bad reports count");
-  for (std::uint64_t k = 0; k < nrep; ++k) {
-    l = next();
-    if (l == nullptr || l->rfind("rep ", 0) != 0) {
-      return fail("missing report line");
-    }
-    res.reports.push_back(unescape_line(l->substr(4)));
-  }
-  std::uint64_t nmet = 0;
-  if (!count("metrics", &nmet)) return fail("bad metrics count");
-  for (std::uint64_t k = 0; k < nmet; ++k) {
-    l = next();
-    if (l == nullptr || l->rfind("m ", 0) != 0) {
-      return fail("missing metrics line");
-    }
-    if (!res.metrics.parse_wire_line(l->substr(2), &why)) return fail(why);
-  }
-  std::uint64_t nfro = 0;
-  if (!count("frontier", &nfro)) return fail("bad frontier count");
-  if (!mc::parse_choices(lines, &i, nfro, &res.frontier, &why)) {
-    return fail(why);
+  if (!r.count("frontier", &n) || !mc::parse_choices(r, n, &res.frontier)) {
+    return false;
   }
   if (res.stats.preempted != !res.frontier.empty()) {
-    return fail("preempted flag and frontier presence disagree");
+    return r.fail("preempted flag and frontier presence disagree");
   }
-  l = next();
-  if (l == nullptr || *l != "end") return fail("missing 'end' terminator");
+  if (!r.end()) return false;
   *out = std::move(res);
   return true;
 }

@@ -11,7 +11,7 @@
 //   violations <n>
 //   v <wire-kind> <exec_index> <test_index> <nchoices> <escaped detail>
 //   S 1/2                                  # nchoices trail lines
-//   ...
+//   ...                                    # (mc::render_violation)
 //   reports <n>
 //   rep <escaped report>
 //   metrics <n>
@@ -64,13 +64,6 @@ struct ShardResult {
   // prefix of this trail.
   std::vector<mc::Choice> frontier;
 };
-
-// Newline/backslash escaping used for single-line payload fields.
-std::string escape_line(const std::string& s);
-std::string unescape_line(const std::string& s);
-
-// Splits on '\n'; shared with the dist protocol parser.
-std::vector<std::string> split_lines(const std::string& text);
 
 std::string render_shard_result(const RunResult& r);
 

@@ -14,17 +14,18 @@
 // start instead of a crash.
 //
 // Format (line-oriented, '#' comments, order fixed):
-//   cdsspec-checkpoint v4
+//   cdsspec-checkpoint v5
 //   test msqueue#1
 //   test_index 1
-//   seed 11400714819323198485
 //   phase dfs                       # start | dfs | sampling
 //   rng 88172645463325252
 //   elapsed 1.250000
-//   config stale=3 max_steps=20000 strengthen_sc=0 sleep_sets=1 explore=0
+//   config seed=11400714819323198485 stale=3 max_steps=20000 ...
 //   stats executions=1000 feasible=940 ... verdict=2 last_progress=1000
 //   violations 1
-//   v data-race 17 0 read of 'head' races with write by T2
+//   v data-race 17 0 2 read of 'head' races with write by T2
+//   S 1/2                           # the violation's 2-choice trail
+//   R 0/3
 //   extra 2
 //   x spec.cur.histories 4200
 //   x prior.executions 312
@@ -33,6 +34,10 @@
 //   R 0/3
 //   S 0/2
 //   end
+//
+// `config` is the .trail format's ConfigFingerprint line and `v` the
+// shard-result violation record (mc/trace.h), so details and trails
+// round-trip exactly.
 #ifndef CDS_MC_CHECKPOINT_H
 #define CDS_MC_CHECKPOINT_H
 
@@ -48,6 +53,9 @@
 namespace cds::mc {
 
 struct Checkpoint {
+  // v5: the config fingerprint is the .trail format's `config` line (the
+  // seed and the exploration mode joined it), and violations are the
+  // shard-result record, keeping escaped details and trails.
   // v4: the `stats` line carries every ExplorationStats row (mc/stats.h)
   // and absorbed the old `flags` line; the rf class counter is gone.
   // v3: the exploration mode (--explore schedule|rf) joined the config
@@ -55,7 +63,7 @@ struct Checkpoint {
   // checkpoint would resume with those counters silently zeroed.
   // v2: RNG stream change (rejection-sampled Xorshift64::below); resuming a
   // v1 sampling-phase checkpoint would not reproduce the interrupted run.
-  static constexpr int kVersion = 4;
+  static constexpr int kVersion = 5;
 
   // Where the interrupted run was:
   //   kStart    — about to begin this test from scratch (the harness writes
@@ -64,20 +72,15 @@ struct Checkpoint {
   //   kSampling — DFS is over (budget/watchdog), mid random-walk phase.
   enum class Phase : std::uint8_t { kStart, kDfs, kSampling };
 
-  std::string test_name;  // fingerprint, e.g. "msqueue#1"
+  std::string test_name;  // e.g. "msqueue#1"
   std::uint64_t test_index = 0;
-  std::uint64_t seed = 0;
   Phase phase = Phase::kStart;
   std::uint64_t rng_state = 0;    // sampling RNG mid-stream state
   double elapsed_seconds = 0.0;   // wall time already spent (budget offset)
 
-  // Config fingerprint (same fields as TrailFile): resume rejects a
-  // checkpoint recorded under different exploration parameters.
-  std::uint32_t stale_read_bound = 3;
-  std::uint64_t max_steps = 20000;
-  bool strengthen_to_sc = false;
-  bool enable_sleep_sets = true;
-  ExploreMode explore = ExploreMode::kSchedule;
+  // Resume rejects a checkpoint recorded under different exploration
+  // parameters (config.mismatch).
+  ConfigFingerprint config;
 
   // Counters and flags of the current (partial) test. `seconds`, `seed`
   // and `verdict` are recomputed on resume; the integer fields and budget
@@ -85,9 +88,7 @@ struct Checkpoint {
   ExplorationStats stats;
   std::uint64_t last_progress_exec = 0;  // watchdog bookkeeping
 
-  // Recorded violation diagnostics (details flattened to one line; their
-  // trails are not persisted — the counts in `stats` are what the verdict
-  // and detection classification rest on).
+  // Recorded violation diagnostics, with their trails.
   std::vector<Violation> violations;
 
   // Opaque counters from layers above the engine (the spec checker's
@@ -98,22 +99,12 @@ struct Checkpoint {
   // The DFS frontier (kDfs only; empty otherwise).
   std::vector<Choice> trail;
 
-  void fingerprint_from(const Config& cfg);
-  // "" when `cfg` matches; otherwise a description of the first mismatch.
-  [[nodiscard]] std::string fingerprint_mismatch(const Config& cfg) const;
-
   [[nodiscard]] std::uint64_t extra_value(const std::string& key,
                                           std::uint64_t fallback = 0) const;
   void set_extra(const std::string& key, std::uint64_t value);
 };
 
 [[nodiscard]] const char* to_string(Checkpoint::Phase p);
-
-// Canonical one-line rendering of the exploration-shaping config (the
-// same fields a Checkpoint/TrailFile pins as its fingerprint, plus the
-// seed). The dist journal checksums this string so a --resume under
-// changed parameters is rejected instead of merging incompatible shards.
-[[nodiscard]] std::string render_config_fingerprint(const Config& cfg);
 
 [[nodiscard]] std::string render_checkpoint(const Checkpoint& cp);
 bool parse_checkpoint(const std::string& text, Checkpoint* out,

@@ -6,6 +6,9 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
+
+#include "support/kv.h"
 
 namespace cds::mc {
 
@@ -47,6 +50,52 @@ enum class ExploreMode : std::uint8_t {
 [[nodiscard]] inline const char* to_string(ExploreMode m) {
   return m == ExploreMode::kRf ? "rf" : "schedule";
 }
+
+// Wire images of the enumerations in the config table (support/kv.h).
+inline std::uint64_t to_wire(ExploreMode m) {
+  return static_cast<std::uint64_t>(m);
+}
+inline bool from_wire(std::uint64_t w, ExploreMode* m) {
+  *m = static_cast<ExploreMode>(w);
+  return w <= static_cast<std::uint64_t>(ExploreMode::kRf);
+}
+inline std::uint64_t to_wire(UnsoundHook h) {
+  return static_cast<std::uint64_t>(h);
+}
+inline bool from_wire(std::uint64_t w, UnsoundHook* h) {
+  *h = static_cast<UnsoundHook>(w);
+  return w <= static_cast<std::uint64_t>(UnsoundHook::kSleepSetNeverWakes);
+}
+
+// Every Config field that crosses a process or file boundary, declared
+// once: X(member, wire key, shape). A shard assignment carries every row
+// (its `engine` line), so a socket worker explores exactly the tree the
+// coordinator planned. Rows of shape `flag` or `tree` shape the choice
+// tree itself; they make up ConfigFingerprint below, which .trail files,
+// checkpoints and the shard journal pin so that a replay or resume under
+// other values is refused. A `flag` row is set by the command-line flag
+// --<key>, and mismatch messages name that flag. `run` rows only bound or
+// instrument a run.
+#define CDS_ENGINE_CONFIG(X)                          \
+  X(seed, "seed", flag)                               \
+  X(stale_read_bound, "stale", flag)                  \
+  X(max_steps, "max_steps", tree)                     \
+  X(strengthen_to_sc, "strengthen_sc", tree)          \
+  X(enable_sleep_sets, "sleep_sets", tree)            \
+  X(explore, "explore", flag)                         \
+  X(max_threads, "threads", run)                      \
+  X(max_executions, "execs", run)                     \
+  X(max_recorded_violations, "viol", run)             \
+  X(stop_on_first_violation, "stop_first", run)       \
+  X(collect_trace, "trace", run)                      \
+  X(time_budget_seconds, "time_us", run)              \
+  X(memory_budget_bytes, "mem", run)                  \
+  X(watchdog_no_progress_execs, "watchdog", run)      \
+  X(sample_executions, "samples", run)                \
+  X(dfs_budget_fraction, "dfs_ppm", run)              \
+  X(contain_crashes, "contain", run)                  \
+  X(sampling_only, "sampling_only", run)              \
+  X(unsound_hook, "unsound", run)
 
 struct Config {
   // Hard cap on modeled threads per execution (including the test's root
@@ -191,6 +240,80 @@ struct Config {
   // Test-only soundness sabotage; see UnsoundHook. Never set outside the
   // self-validation tests.
   UnsoundHook unsound_hook = UnsoundHook::kNone;
+
+  // Calls f(wire_key, member) for every CDS_ENGINE_CONFIG row.
+  template <class Self, class F>
+  static void each(Self& s, F&& f) {
+    CDS_ENGINE_CONFIG(CDS_CONFIG_VISIT)
+  }
+};
+
+#define CDS_CONFIG_IF_flag(...) __VA_ARGS__
+#define CDS_CONFIG_IF_tree(...) __VA_ARGS__
+#define CDS_CONFIG_IF_run(...)
+#define CDS_CONFIG_FP_MEMBER(member, key, shape) \
+  CDS_CONFIG_IF_##shape(decltype(Config::member) member = Config{}.member;)
+#define CDS_CONFIG_FP_ZIP(member, key, shape) \
+  CDS_CONFIG_IF_##shape(f(key, #shape, a.member, b.member);)
+
+// The tree-shaping rows of CDS_ENGINE_CONFIG, with Config's defaults: what
+// a .trail file or checkpoint was recorded under, and what the shard
+// journal checksums (as render_fields of it).
+struct ConfigFingerprint {
+  CDS_ENGINE_CONFIG(CDS_CONFIG_FP_MEMBER)
+
+  [[nodiscard]] static ConfigFingerprint from(const Config& cfg) {
+    ConfigFingerprint fp;
+    zip(fp, cfg, [](const char*, const char*, auto& to, const auto& v) {
+      to = v;
+    });
+    return fp;
+  }
+  void apply(Config* cfg) const {
+    zip(*cfg, *this, [](const char*, const char*, auto& to, const auto& v) {
+      to = v;
+    });
+  }
+  // "" when `cfg` has the same values; otherwise the first row that
+  // differs, named by its flag.
+  [[nodiscard]] std::string mismatch(const Config& cfg) const {
+    std::string out;
+    zip(*this, cfg,
+        [&](const char* key, const char* shape, const auto& file,
+            const auto& run) {
+          if (!out.empty() || file == run) return;
+          const std::string name = std::string_view(shape) == "flag"
+                                       ? std::string("--") + key
+                                       : std::string(key);
+          out = name + " mismatch: file has " + show(file) +
+                ", this run has " + show(run);
+        });
+    return out;
+  }
+
+  // Calls f(wire_key, member) for every row, as render_fields and
+  // parse_fields expect.
+  template <class Self, class F>
+  static void each(Self& s, F&& f) {
+    zip(s, s, [&](const char* key, const char*, auto& v, const auto&) {
+      f(key, v);
+    });
+  }
+
+ private:
+  // Calls f(key, shape, a.member, b.member) for every tree-shaping row.
+  template <class A, class B, class F>
+  static void zip(A& a, B& b, F&& f) {
+    CDS_ENGINE_CONFIG(CDS_CONFIG_FP_ZIP)
+  }
+  template <class T>
+  static std::string show(const T& v) {
+    using support::to_wire;
+    return std::to_string(to_wire(v));
+  }
+  static std::string show(ExploreMode m) {
+    return std::string("'") + to_string(m) + "'";
+  }
 };
 
 }  // namespace cds::mc

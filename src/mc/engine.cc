@@ -171,7 +171,7 @@ void Engine::report_violation(ViolationKind k, std::string detail) {
     v.execution_index = exec_index_;
     // Every recorded violation carries the choice sequence that produced
     // it: a replayable one-execution repro (exported as a .trail file by
-    // the CLI). Violations restored from a checkpoint have no trail.
+    // the CLI).
     v.trail = trail_.consumed();
     v.test_index = cfg_.test_index;
     violations_.push_back(std::move(v));
@@ -380,8 +380,10 @@ void Engine::write_checkpoint(Checkpoint::Phase phase,
                               std::uint64_t last_progress_exec) {
   if (cfg_.checkpoint_path.empty()) return;
   Checkpoint cp = cp_base_;
-  cp.fingerprint_from(cfg_);
+  cp.config = ConfigFingerprint::from(cfg_);
+  if (!cfg_.test_name.empty()) cp.test_name = cfg_.test_name;
   if (cp.test_name.empty()) cp.test_name = "test";
+  cp.test_index = cfg_.test_index;
   cp.phase = phase;
   cp.rng_state = rng_.state();
   cp.elapsed_seconds = seconds_since_start();
@@ -391,15 +393,11 @@ void Engine::write_checkpoint(Checkpoint::Phase phase,
   cp.stats.hit_memory_budget = hit_memory_budget_;
   cp.last_progress_exec = last_progress_exec;
   // cp_base_.violations holds the harness's prior-test records; append
-  // this test's own on top. Trails are per-violation repro artifacts, not
-  // resume state; dropping them keeps checkpoints small and their absence
-  // after a resume is documented behavior.
+  // this test's own on top, trails included, so a resumed run can still
+  // export any of them as a .trail repro.
   cp.violations = cp_base_.violations;
-  for (const Violation& v : violations_) {
-    Violation copy = v;
-    copy.trail.clear();
-    cp.violations.push_back(std::move(copy));
-  }
+  cp.violations.insert(cp.violations.end(), violations_.begin(),
+                       violations_.end());
   if (listener_ != nullptr) listener_->on_checkpoint(cp.extra);
   cp.trail = phase == Checkpoint::Phase::kDfs ? trail_.raw()
                                               : std::vector<Choice>{};

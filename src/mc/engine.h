@@ -111,7 +111,7 @@ class Engine : public harness::Backend {
 
   // Resume a previous exploration from a loaded checkpoint (see
   // mc/checkpoint.h). Must be called before explore(); the caller is
-  // responsible for checking Checkpoint::fingerprint_mismatch first. A
+  // responsible for checking Checkpoint::config.mismatch first. A
   // Phase::kStart checkpoint is treated as a fresh exploration.
   void set_resume(Checkpoint cp) { resume_ = std::move(cp); }
 

@@ -302,9 +302,11 @@ std::vector<UnitResult> fork_map(
         for (;;) {  // drain complete frames
           std::size_t nl = w.buf.find('\n');
           if (nl == std::string::npos) break;
-          unsigned long long idx = 0, len = 0;
-          if (std::sscanf(w.buf.c_str(), "r %llu %llu", &idx, &len) != 2 ||
-              idx >= n) {
+          std::uint64_t idx = 0, len = 0;
+          std::string_view hdr(w.buf.data(), nl);  // "r <idx> <len>"
+          if (support::take_word(&hdr) != "r" ||
+              !support::parse_u64(support::take_word(&hdr), &idx) ||
+              !support::parse_u64(hdr, &len) || idx >= n) {
             // Protocol corruption: drop the worker, crash its unit below.
             got = 0;
             break;

@@ -10,22 +10,25 @@
 // determinism assertion promoted to a runtime divergence check.
 //
 // Format (line-oriented, '#' starts a comment, order fixed):
-//   cdsspec-trail v2
+//   cdsspec-trail v3
 //   test msqueue#2
-//   seed 11400714819323198485
 //   backend stress                       # optional: "model" (default) or
 //                                        # "stress"; any other token rejected
 //   kind data-race                       # optional: wire_name(ViolationKind)
-//   detail read of 'head' races ...      # optional, newlines flattened
+//   detail read of 'head' races ...      # optional, escaped onto one line
 //   inject msqueue/enqueue-tail-store    # optional: active injection site
-//   explore rf                           # optional: exploration mode; absent
-//                                        # means "schedule" (the default)
-//   config stale=3 max_steps=20000 strengthen_sc=0 sleep_sets=1
+//   config seed=11400714819323198485 stale=3 max_steps=20000 ...
+//                                        # (one line; see below)
 //   choices 3
 //   S 1/2                                # schedule: chose 1 of 2
 //   R 0/3                                # reads-from: chose 0 of 3
 //   S 0/2
 //   end
+//
+// The `config` line is the ConfigFingerprint (mc/config.h): every
+// tree-shaping row of the config table, each key exactly once (seed,
+// stale, max_steps, strengthen_sc, sleep_sets, explore); enums by their
+// wire value (explore=1 is rf).
 #ifndef CDS_MC_TRACE_H
 #define CDS_MC_TRACE_H
 
@@ -34,28 +37,32 @@
 
 #include "mc/config.h"
 #include "mc/trail.h"
+#include "mc/violation.h"
+#include "support/kv.h"
 
 namespace cds::mc {
 
 struct TrailFile {
+  // v3: one `config` line carries every tree-shaping row of the config
+  // table; the seed and the exploration mode joined it, and `detail` is
+  // escaped instead of flattened.
   // v2: Xorshift64::below() switched from modulo reduction to rejection
   // sampling, changing every random-mode choice stream; v1 trails recorded
   // from sampled executions would silently replay a different schedule, so
   // the version gates them out.
-  static constexpr int kVersion = 2;
+  static constexpr int kVersion = 3;
 
   // Identity: which test body this trail drives ("<benchmark>#<index>" for
   // registry benchmarks, "litmus" for fuzzer programs).
   std::string test_name;
-  std::uint64_t seed = 0;
 
   // Which backend recorded the trail: "" or "model" for the model checker
   // (the parser normalizes "model" to "" so round-trips are exact),
   // "stress" for the stress backend. Model trails carry the engine's
   // choice sequence and replay exactly; stress trails carry the iteration
-  // seed plus the thread-major preemption decision stream, and replay by
-  // re-running the iteration under that seed (probabilistic — the decision
-  // stream is deterministic, the hardware schedule is not).
+  // seed (config.seed) plus the thread-major preemption decision stream,
+  // and replay by re-running the iteration under that seed (probabilistic
+  // — the decision stream is deterministic, the hardware schedule is not).
   std::string backend;
 
   // What the recorded execution exhibited ("" when the trail was exported
@@ -69,29 +76,11 @@ struct TrailFile {
   // the choice tree the trail indexes into.
   std::string inject_site;
 
-  // Exploration mode the trail was recorded under. rf-mode trails carry
-  // kReadsFrom choices with a trailing "wait" alternative and schedule
-  // trails never do, so replaying under the wrong mode desynchronizes;
-  // rendered as an optional "explore rf" line (absent for the default
-  // schedule mode, keeping pre-rf trails parseable unchanged).
-  ExploreMode explore = ExploreMode::kSchedule;
-
-  // Config fingerprint: the exploration parameters that shape the choice
-  // tree. Replaying under a different fingerprint would desynchronize the
-  // trail, so replay applies these and resume rejects mismatches.
-  std::uint32_t stale_read_bound = 3;
-  std::uint64_t max_steps = 20000;
-  bool strengthen_to_sc = false;
-  bool enable_sleep_sets = true;
+  // The tree-shaping config the trail was recorded under. Replaying under
+  // other values would desynchronize the trail, so replay applies it.
+  ConfigFingerprint config;
 
   std::vector<Choice> choices;
-
-  // Copies the fingerprint fields from / into an engine Config.
-  void fingerprint_from(const Config& cfg);
-  void apply_fingerprint(Config* cfg) const;
-  // "" when `cfg` matches this fingerprint; otherwise a human-readable
-  // description of the first mismatch.
-  [[nodiscard]] std::string fingerprint_mismatch(const Config& cfg) const;
 };
 
 // Serialization. parse_trail accepts exactly render_trail's output (plus
@@ -113,12 +102,19 @@ bool write_text_file_atomic(const std::string& path, const std::string& text,
 bool read_text_file(const std::string& path, std::string* out,
                     std::string* err);
 
-// Renders the choices-only body ("S 1/2\n..."): shared with the checkpoint
-// format, which embeds the same trail section.
+// Renders the choices-only body ("S 1/2\n..."): shared with the
+// checkpoint, shard-result and shard-assignment formats, which embed the
+// same trail section.
 [[nodiscard]] std::string render_choices(const std::vector<Choice>& v);
-// Parses `n` choice lines starting at lines[*idx]; advances *idx past them.
-bool parse_choices(const std::vector<std::string>& lines, std::size_t* idx,
-                   std::size_t n, std::vector<Choice>* out, std::string* err);
+// Reads `n` choice lines.
+bool parse_choices(support::LineReader& r, std::uint64_t n,
+                   std::vector<Choice>* out);
+
+// One violation record, shared by the shard-result and checkpoint formats:
+//   v <wire-kind> <exec_index> <test_index> <nchoices> <escaped detail>
+// followed by its trail's nchoices choice lines.
+[[nodiscard]] std::string render_violation(const Violation& v);
+bool parse_violation(support::LineReader& r, Violation* out);
 
 }  // namespace cds::mc
 

@@ -28,6 +28,17 @@ namespace cds::spec {
 
 class SpecChecker : public mc::ExecutionListener {
  public:
+  // Every Options field, declared once: X(member, wire key, shape), as for
+  // mc::Config (mc/config.h). None shapes the choice tree; a shard
+  // assignment's `checker` line carries them all.
+#define CDS_SPEC_OPTIONS(X)              \
+  X(max_histories, "histories", run)     \
+  X(sampled_histories, "sampled", run)   \
+  X(max_subhistories, "subhist", run)    \
+  X(max_reports, "reports", run)         \
+  X(report_trace, "rtrace", run)         \
+  X(seed, "seed", run)
+
   struct Options {
     // Exhaustive-history cap per object per execution; beyond it, the
     // checker additionally samples random histories (paper's
@@ -41,6 +52,11 @@ class SpecChecker : public mc::ExecutionListener {
     // Include the engine's event trace in reports.
     bool report_trace = true;
     std::uint64_t seed = 0x5DEECE66Dull;
+
+    template <class Self, class F>
+    static void each(Self& s, F&& f) {
+      CDS_SPEC_OPTIONS(CDS_CONFIG_VISIT)
+    }
   };
 
   // Every Stats field, declared once: X(type, member, wire key, fold), as

@@ -129,6 +129,26 @@ TEST(DistHarness, MergedStatsMatchSerialOnCleanBenchmarks) {
   EXPECT_EQ(r.merged.verdict, mc::Verdict::kVerifiedExhaustive);
 }
 
+TEST(DistHarness, RfModeReachesSocketWorkers) {
+  // The assignment carries the exploration mode: socket workers explore
+  // the rf subtrees they are handed, so the merged coverage is serial
+  // rf's (a worker in schedule mode under rf prefixes double-counts).
+  ds::register_all_benchmarks();
+  const auto* b = harness::find_benchmark("ms-queue");
+  ASSERT_NE(b, nullptr);
+  harness::RunOptions opts;
+  opts.engine.explore = mc::ExploreMode::kRf;
+  harness::RunResult serial = harness::run_benchmark(*b, opts);
+  ASSERT_GT(serial.mc.rf_infeasible, 0u);
+  dist::DistOptions d;
+  d.dist_workers = 2;
+  dist::DistRunResult r = dist::run_benchmark_distributed(*b, opts, d);
+  EXPECT_FALSE(r.fell_back_local);
+  EXPECT_GE(r.workers_connected, 1u);
+  EXPECT_EQ(r.merged.mc.rf_infeasible, serial.mc.rf_infeasible);
+  expect_dist_equals_serial(serial, r.merged);
+}
+
 TEST(DistHarness, FalsifiedMatchesSerialWithFirstWitness) {
   // Weaken the first injectable ticket-lock site: serial and distributed
   // runs must falsify with the same violation totals and first witness.

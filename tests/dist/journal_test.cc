@@ -20,6 +20,7 @@
 #include "harness/runner.h"
 #include "harness/shard_result.h"
 #include "mc/atomic.h"
+#include "support/io.h"
 
 namespace cds {
 namespace {
@@ -136,12 +137,58 @@ TEST(Journal, CrcCatchesAnySingleCorruptedByte) {
     EXPECT_FALSE(dist::parse_journal_record(bad, &got, &err))
         << "byte " << i << " flipped yet the record still parsed";
   }
+  // A correct CRC does not make a malformed body acceptable: numbers are
+  // strict decimals, digests eight hex digits, verdicts in range.
+  for (const char* body :
+       {"lease shard=-1 attempt=1", "lease shard= 5 attempt=1",
+        "lease shard=+5 attempt=1", "done verdict=7",
+        "run epoch=1 shards=2 planhash=1 fingerprint=01020304 bench=x"}) {
+    char crc[16];
+    std::snprintf(crc, sizeof crc, " #crc=%08x",
+                  static_cast<unsigned>(support::crc32(body)));
+    dist::JournalRecord got;
+    std::string err;
+    EXPECT_FALSE(dist::parse_journal_record(body + std::string(crc), &got,
+                                            &err))
+        << body;
+  }
+}
+
+TEST(Journal, OtherVersionIsRefusedByNameAndKept) {
+  // A journal written under another config-fingerprint scheme cannot be
+  // resumed; it is refused by version, not quarantined or overwritten.
+  const std::string path = tmp_path("v1.journal");
+  const std::string content =
+      "cdsspec-journal v1\n" + dist::render_journal_record(run_record());
+  write_file(path, content);
+  dist::JournalReplay rep;
+  std::string err;
+  EXPECT_FALSE(dist::load_journal(path, &rep, &err));
+  EXPECT_NE(err.find("cdsspec-journal v1"), std::string::npos) << err;
+  EXPECT_NE(err.find("cdsspec-journal v2"), std::string::npos) << err;
+  EXPECT_EQ(slurp(path), content);
+  EXPECT_FALSE(exists(path + ".quarantined"));
+
+  ds::register_all_benchmarks();
+  const auto* b = harness::find_benchmark("ticket-lock");
+  ASSERT_NE(b, nullptr);
+  harness::ParallelOptions par;
+  par.jobs = 2;
+  par.journal_path = path;
+  par.resume = true;
+  harness::ParallelRunResult r =
+      harness::run_benchmark_parallel(*b, harness::RunOptions{}, par);
+  EXPECT_NE(r.resume_error.find("cdsspec-journal v1"), std::string::npos)
+      << r.resume_error;
+  EXPECT_EQ(r.merged.mc.executions, 0u);
+  EXPECT_EQ(slurp(path), content);
+  std::remove(path.c_str());
 }
 
 TEST(Journal, TornTailIsQuarantinedAtEveryByteOffset) {
   const std::string path = tmp_path("torn.journal");
   const std::string qpath = path + ".quarantined";
-  const std::string magic = "cdsspec-journal v1\n";
+  const std::string magic = "cdsspec-journal v2\n";
   const std::string good1 = dist::render_journal_record(run_record());
   const std::string good2 = dist::render_journal_record(result_record());
   dist::JournalRecord last;
@@ -185,7 +232,7 @@ TEST(Journal, TornTailIsQuarantinedAtEveryByteOffset) {
 
 TEST(Journal, CorruptRecordTruncatesBackToLastGoodRecord) {
   const std::string path = tmp_path("corrupt.journal");
-  const std::string magic = "cdsspec-journal v1\n";
+  const std::string magic = "cdsspec-journal v2\n";
   const std::string good = dist::render_journal_record(run_record());
   std::string bad = dist::render_journal_record(result_record());
   bad[bad.size() / 2] = static_cast<char>(bad[bad.size() / 2] ^ 0x40);

@@ -11,8 +11,10 @@
 #include "dist/protocol.h"
 #include "harness/shard_result.h"
 #include "mc/shard.h"
+#include "mc/trace.h"
 #include "obs/metrics.h"
 #include "support/rng.h"
+#include "support/stats_fill.h"
 
 namespace cds {
 namespace {
@@ -138,7 +140,24 @@ Assignment sample_assignment() {
 }
 
 TEST(DistAssignment, RoundTripsEveryField) {
+  // Every row of the engine and checker config tables, each moved off its
+  // default: a row added to either table is covered with no edit here.
   Assignment a = sample_assignment();
+  a.engine = testing_support::non_default_fields<mc::Config>();
+  a.checker = testing_support::non_default_fields<spec::SpecChecker::Options>();
+  const auto engine_rows = testing_support::rows(a.engine);
+  const auto default_rows = testing_support::rows(mc::Config{});
+  ASSERT_EQ(engine_rows.size(), default_rows.size());
+  for (std::size_t k = 0; k < engine_rows.size(); ++k) {
+    EXPECT_NE(engine_rows[k], default_rows[k]) << engine_rows[k].first;
+  }
+  const auto checker_rows = testing_support::rows(a.checker);
+  const auto checker_defaults =
+      testing_support::rows(spec::SpecChecker::Options{});
+  for (std::size_t k = 0; k < checker_rows.size(); ++k) {
+    EXPECT_NE(checker_rows[k], checker_defaults[k]) << checker_rows[k].first;
+  }
+
   std::string text = dist::render_assignment(a);
   Assignment back;
   std::string err;
@@ -150,21 +169,33 @@ TEST(DistAssignment, RoundTripsEveryField) {
   EXPECT_EQ(back.unit.total, a.unit.total);
   EXPECT_EQ(back.unit.engine_seed, a.unit.engine_seed);
   EXPECT_EQ(back.unit.sample_executions, a.unit.sample_executions);
-  ASSERT_EQ(back.unit.prefix.size(), a.unit.prefix.size());
-  for (std::size_t i = 0; i < a.unit.prefix.size(); ++i) {
-    EXPECT_EQ(back.unit.prefix[i].kind, a.unit.prefix[i].kind);
-    EXPECT_EQ(back.unit.prefix[i].chosen, a.unit.prefix[i].chosen);
-    EXPECT_EQ(back.unit.prefix[i].num, a.unit.prefix[i].num);
-  }
-  EXPECT_EQ(back.engine.max_executions, a.engine.max_executions);
-  EXPECT_EQ(back.engine.stale_read_bound, a.engine.stale_read_bound);
-  EXPECT_EQ(back.engine.stop_on_first_violation,
-            a.engine.stop_on_first_violation);
-  EXPECT_DOUBLE_EQ(back.engine.time_budget_seconds,
-                   a.engine.time_budget_seconds);
-  EXPECT_EQ(back.engine.seed, a.engine.seed);
-  EXPECT_EQ(back.checker.max_histories, a.checker.max_histories);
-  EXPECT_EQ(back.checker.seed, a.checker.seed);
+  EXPECT_EQ(mc::render_choices(back.unit.prefix),
+            mc::render_choices(a.unit.prefix));
+  EXPECT_EQ(testing_support::rows(back.engine), engine_rows);
+  EXPECT_EQ(testing_support::rows(back.checker), checker_rows);
+}
+
+TEST(DistAssignment, StaleVersionAndBadRowsAreRejected) {
+  const std::string text = dist::render_assignment(sample_assignment());
+  auto reject = [&](const std::string& from, const std::string& to,
+                    const char* expect_msg) {
+    std::string bad = text;
+    const std::size_t at = bad.find(from);
+    ASSERT_NE(at, std::string::npos) << from;
+    bad.replace(at, from.size(), to);
+    Assignment out;
+    std::string err;
+    EXPECT_FALSE(dist::parse_assignment(bad, &out, &err)) << to;
+    EXPECT_NE(err.find(expect_msg), std::string::npos) << to << ": " << err;
+  };
+  // A v1 assignment has no explore row: a worker would run schedule mode.
+  reject("shard-assign v2", "shard-assign v1",
+         "unsupported version: 'shard-assign v1'");
+  reject(" explore=0", "", "missing key 'explore'");
+  reject(" explore=0", " explore=2", "out of range for 'explore'");
+  reject(" threads=32", " threads=0", "bad engine thread cap");
+  reject(" unsound=0", " unsound=3", "out of range for 'unsound'");
+  reject(" reports=8", " reports=4294967296", "out of range for 'reports'");
 }
 
 TEST(DistAssignment, EveryTruncationIsRejectedWithALineDiagnostic) {

@@ -58,7 +58,7 @@ TEST(ShardResult, StaleWireVersionsAreRejected) {
     harness::ShardResult back;
     std::string err;
     EXPECT_FALSE(harness::parse_shard_result(stale, &back, &err)) << old;
-    EXPECT_NE(err.find("stale wire version"), std::string::npos) << err;
+    EXPECT_NE(err.find("unsupported version"), std::string::npos) << err;
     EXPECT_NE(err.find(old), std::string::npos) << err;
   }
 }

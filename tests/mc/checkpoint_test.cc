@@ -29,15 +29,15 @@ mc::Checkpoint full_checkpoint() {
   mc::Checkpoint cp;
   cp.test_name = "ms-queue#1";
   cp.test_index = 1;
-  cp.seed = 0x9e3779b97f4a7c15ull;
+  cp.config.seed = 0x9e3779b97f4a7c15ull;
   cp.phase = mc::Checkpoint::Phase::kSampling;
   cp.rng_state = 88172645463325252ull;
   cp.elapsed_seconds = 1.25;
-  cp.stale_read_bound = 5;
-  cp.max_steps = 4321;
-  cp.strengthen_to_sc = true;
-  cp.enable_sleep_sets = false;
-  cp.explore = mc::ExploreMode::kRf;
+  cp.config.stale_read_bound = 5;
+  cp.config.max_steps = 4321;
+  cp.config.strengthen_to_sc = true;
+  cp.config.enable_sleep_sets = false;
+  cp.config.explore = mc::ExploreMode::kRf;
   cp.stats = testing_support::distinct_fields<mc::ExplorationStats>(1);
   cp.last_progress_exec = 998;
   cp.violations.push_back(mc::Violation{
@@ -57,15 +57,15 @@ mc::Checkpoint full_checkpoint() {
 void expect_equal(const mc::Checkpoint& a, const mc::Checkpoint& b) {
   EXPECT_EQ(a.test_name, b.test_name);
   EXPECT_EQ(a.test_index, b.test_index);
-  EXPECT_EQ(a.seed, b.seed);
+  EXPECT_EQ(a.config.seed, b.config.seed);
   EXPECT_EQ(a.phase, b.phase);
   EXPECT_EQ(a.rng_state, b.rng_state);
   EXPECT_DOUBLE_EQ(a.elapsed_seconds, b.elapsed_seconds);
-  EXPECT_EQ(a.stale_read_bound, b.stale_read_bound);
-  EXPECT_EQ(a.max_steps, b.max_steps);
-  EXPECT_EQ(a.strengthen_to_sc, b.strengthen_to_sc);
-  EXPECT_EQ(a.enable_sleep_sets, b.enable_sleep_sets);
-  EXPECT_EQ(a.explore, b.explore);
+  EXPECT_EQ(a.config.stale_read_bound, b.config.stale_read_bound);
+  EXPECT_EQ(a.config.max_steps, b.config.max_steps);
+  EXPECT_EQ(a.config.strengthen_to_sc, b.config.strengthen_to_sc);
+  EXPECT_EQ(a.config.enable_sleep_sets, b.config.enable_sleep_sets);
+  EXPECT_EQ(a.config.explore, b.config.explore);
   EXPECT_EQ(testing_support::rows(a.stats), testing_support::rows(b.stats));
   EXPECT_EQ(a.last_progress_exec, b.last_progress_exec);
   ASSERT_EQ(a.violations.size(), b.violations.size());
@@ -74,6 +74,9 @@ void expect_equal(const mc::Checkpoint& a, const mc::Checkpoint& b) {
     EXPECT_EQ(a.violations[i].detail, b.violations[i].detail) << i;
     EXPECT_EQ(a.violations[i].execution_index, b.violations[i].execution_index);
     EXPECT_EQ(a.violations[i].test_index, b.violations[i].test_index) << i;
+    EXPECT_EQ(mc::render_choices(a.violations[i].trail),
+              mc::render_choices(b.violations[i].trail))
+        << i;
   }
   ASSERT_EQ(a.extra.size(), b.extra.size());
   for (std::size_t i = 0; i < a.extra.size(); ++i) {
@@ -93,6 +96,28 @@ TEST(Checkpoint, RoundTripPreservesEveryField) {
   std::string err;
   ASSERT_TRUE(mc::parse_checkpoint(mc::render_checkpoint(cp), &back, &err))
       << err;
+  expect_equal(cp, back);
+}
+
+TEST(Checkpoint, ViolationDetailAndTrailRoundTripExactly) {
+  // Checkpoint violations are the shard-result record: the detail is
+  // escaped (not flattened) and the trail rides along.
+  mc::Checkpoint cp = full_checkpoint();
+  cp.violations.push_back(mc::Violation{
+      mc::ViolationKind::kSpecAssertion,
+      "postcondition failed\n  at C:\\queue.cc:12\n", 41,
+      {mc::Choice{mc::ChoiceKind::kSchedule, 1, 2},
+       mc::Choice{mc::ChoiceKind::kReadsFrom, 2, 3},
+       mc::Choice{mc::ChoiceKind::kSchedule, 0, 4}},
+      1});
+  mc::Checkpoint back;
+  std::string err;
+  ASSERT_TRUE(mc::parse_checkpoint(mc::render_checkpoint(cp), &back, &err))
+      << err;
+  ASSERT_EQ(back.violations.size(), cp.violations.size());
+  EXPECT_EQ(back.violations.back().detail, cp.violations.back().detail);
+  EXPECT_EQ(mc::render_choices(back.violations.back().trail),
+            "S 1/2\nR 2/3\nS 0/4\n");
   expect_equal(cp, back);
 }
 
@@ -147,14 +172,14 @@ TEST(Checkpoint, CorruptedFieldsAreRejectedWithActionableErrors) {
     EXPECT_NE(err.find(expect_msg), std::string::npos)
         << "'" << from << "' -> '" << to << "': " << err;
   };
-  reject("cdsspec-checkpoint v4", "cdsspec-checkpoint v7",
-         "unsupported checkpoint version v7");
+  reject("cdsspec-checkpoint v5", "cdsspec-checkpoint v7",
+         "unsupported version: 'cdsspec-checkpoint v7'");
   // A stale checkpoint would resume with counters silently zeroed or
   // misread; the version gate turns that into a fresh start.
-  reject("cdsspec-checkpoint v4", "cdsspec-checkpoint v3",
-         "unsupported checkpoint version v3");
-  reject("cdsspec-checkpoint v4", "cdsspec-checkpoint v2",
-         "unsupported checkpoint version v2");
+  reject("cdsspec-checkpoint v5", "cdsspec-checkpoint v4",
+         "unsupported version: 'cdsspec-checkpoint v4'");
+  reject("cdsspec-checkpoint v5", "cdsspec-checkpoint v3",
+         "unsupported version: 'cdsspec-checkpoint v3'");
   reject("phase sampling", "phase lunch", "unknown phase");
   reject("executions=", "exekutions=", "unknown key");
   reject("feasible=", "feasible=nine", "malformed value");
@@ -197,17 +222,17 @@ TEST(Checkpoint, FingerprintMismatchNamesTheFlag) {
   cfg.test_name = "ms-queue#1";
   cfg.seed = 42;
   mc::Checkpoint cp;
-  cp.fingerprint_from(cfg);
-  EXPECT_EQ(cp.fingerprint_mismatch(cfg), "");
+  cp.config = mc::ConfigFingerprint::from(cfg);
+  EXPECT_EQ(cp.config.mismatch(cfg), "");
   cfg.seed = 43;
-  EXPECT_NE(cp.fingerprint_mismatch(cfg).find("--seed"), std::string::npos);
+  EXPECT_NE(cp.config.mismatch(cfg).find("--seed"), std::string::npos);
   cfg.seed = 42;
   cfg.enable_sleep_sets = !cfg.enable_sleep_sets;
-  EXPECT_NE(cp.fingerprint_mismatch(cfg).find("sleep_sets"),
+  EXPECT_NE(cp.config.mismatch(cfg).find("sleep_sets"),
             std::string::npos);
   cfg.enable_sleep_sets = !cfg.enable_sleep_sets;
   cfg.explore = mc::ExploreMode::kRf;
-  std::string msg = cp.fingerprint_mismatch(cfg);
+  std::string msg = cp.config.mismatch(cfg);
   EXPECT_NE(msg.find("--explore"), std::string::npos) << msg;
   EXPECT_NE(msg.find("'schedule'"), std::string::npos) << msg;
   EXPECT_NE(msg.find("'rf'"), std::string::npos) << msg;
@@ -304,7 +329,7 @@ TEST(Checkpoint, DfsResumeConvergesToUninterruptedStats) {
   std::string err;
   ASSERT_TRUE(mc::load_checkpoint_file(path, &cp, &err)) << err;
   EXPECT_EQ(cp.phase, mc::Checkpoint::Phase::kDfs);
-  EXPECT_EQ(cp.fingerprint_mismatch(cfg), "");
+  EXPECT_EQ(cp.config.mismatch(cfg), "");
   EXPECT_FALSE(cp.stats.hit_execution_cap)
       << "cadence checkpoints precede the cap decision";
 
@@ -338,12 +363,12 @@ TEST(Checkpoint, RfDfsResumeConvergesToUninterruptedStats) {
   mc::Checkpoint cp;
   std::string err;
   ASSERT_TRUE(mc::load_checkpoint_file(path, &cp, &err)) << err;
-  EXPECT_EQ(cp.explore, mc::ExploreMode::kRf);
-  EXPECT_EQ(cp.fingerprint_mismatch(cfg), "");
+  EXPECT_EQ(cp.config.explore, mc::ExploreMode::kRf);
+  EXPECT_EQ(cp.config.mismatch(cfg), "");
   // A schedule-mode run must refuse the rf checkpoint outright.
   mc::Config sched = cfg;
   sched.explore = mc::ExploreMode::kSchedule;
-  EXPECT_NE(cp.fingerprint_mismatch(sched).find("--explore"),
+  EXPECT_NE(cp.config.mismatch(sched).find("--explore"),
             std::string::npos);
 
   // Resume without the cap: bit-identical stats, including the rf
@@ -502,7 +527,7 @@ TEST(Checkpoint, InconclusiveRunKeepsItsCheckpointForResume) {
   harness::RunOptions resume_opts = opts;
   resume_opts.engine.checkpoint_every_execs = 10;
   resume_opts.engine.checkpoint_path = path;
-  ASSERT_EQ(cp.fingerprint_mismatch(resume_opts.engine), "");
+  ASSERT_EQ(cp.config.mismatch(resume_opts.engine), "");
   resume_opts.resume = &cp;
   harness::RunResult res = harness::run_benchmark(bench, resume_opts);
   expect_stats_converged(res.mc, base.mc);
@@ -579,7 +604,7 @@ TEST(CheckpointSlow, KillAndResumeConvergesToBaseline) {
   mc::Checkpoint cp;
   std::string err;
   if (mc::load_checkpoint_file(path, &cp, &err)) {
-    EXPECT_EQ(cp.fingerprint_mismatch(ckpt_opts.engine), "");
+    EXPECT_EQ(cp.config.mismatch(ckpt_opts.engine), "");
     ckpt_opts.resume = &cp;
     res = harness::run_benchmark(bench, ckpt_opts);
     EXPECT_FALSE(std::ifstream(path).good())

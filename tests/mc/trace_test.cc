@@ -17,15 +17,15 @@ namespace {
 TrailFile full_trail() {
   TrailFile t;
   t.test_name = "ms-queue#2";
-  t.seed = 0x9e3779b97f4a7c15ull;
+  t.config.seed = 0x9e3779b97f4a7c15ull;
   t.kind = "data-race";
-  t.detail = "read of 'head' by T2 races with write by T1";
+  t.detail = "read of 'head' by T2\nraces with write by T1 \\ (escaped)";
   t.inject_site = "enqueue: tail store";
-  t.stale_read_bound = 7;
-  t.max_steps = 1234;
-  t.strengthen_to_sc = true;
-  t.enable_sleep_sets = false;
-  t.explore = ExploreMode::kRf;
+  t.config.stale_read_bound = 7;
+  t.config.max_steps = 1234;
+  t.config.strengthen_to_sc = true;
+  t.config.enable_sleep_sets = false;
+  t.config.explore = ExploreMode::kRf;
   t.choices = {
       Choice{ChoiceKind::kSchedule, 1, 2},
       Choice{ChoiceKind::kReadsFrom, 0, 3},
@@ -37,15 +37,15 @@ TrailFile full_trail() {
 void expect_equal(const TrailFile& a, const TrailFile& b) {
   EXPECT_EQ(a.backend, b.backend);
   EXPECT_EQ(a.test_name, b.test_name);
-  EXPECT_EQ(a.seed, b.seed);
+  EXPECT_EQ(a.config.seed, b.config.seed);
   EXPECT_EQ(a.kind, b.kind);
   EXPECT_EQ(a.detail, b.detail);
   EXPECT_EQ(a.inject_site, b.inject_site);
-  EXPECT_EQ(a.stale_read_bound, b.stale_read_bound);
-  EXPECT_EQ(a.max_steps, b.max_steps);
-  EXPECT_EQ(a.strengthen_to_sc, b.strengthen_to_sc);
-  EXPECT_EQ(a.enable_sleep_sets, b.enable_sleep_sets);
-  EXPECT_EQ(a.explore, b.explore);
+  EXPECT_EQ(a.config.stale_read_bound, b.config.stale_read_bound);
+  EXPECT_EQ(a.config.max_steps, b.config.max_steps);
+  EXPECT_EQ(a.config.strengthen_to_sc, b.config.strengthen_to_sc);
+  EXPECT_EQ(a.config.enable_sleep_sets, b.config.enable_sleep_sets);
+  EXPECT_EQ(a.config.explore, b.config.explore);
   ASSERT_EQ(a.choices.size(), b.choices.size());
   for (std::size_t i = 0; i < a.choices.size(); ++i) {
     EXPECT_EQ(a.choices[i].kind, b.choices[i].kind) << "choice " << i;
@@ -66,7 +66,7 @@ TEST(Trace, RoundTripMinimalTrail) {
   // Optional fields absent, empty choice list.
   TrailFile t;
   t.test_name = "litmus";
-  t.seed = 1;
+  t.config.seed = 1;
   TrailFile back;
   std::string err;
   ASSERT_TRUE(parse_trail(render_trail(t), &back, &err)) << err;
@@ -79,15 +79,15 @@ TEST(Trace, RoundTripPropertyOverRandomTrails) {
     TrailFile t;
     t.test_name = "bench-" + std::to_string(rng.next() % 100) + "#" +
                   std::to_string(rng.next() % 8);
-    t.seed = rng.next();
+    t.config.seed = rng.next();
     if (rng.next() % 2 != 0) t.kind = "user-assertion";
     if (rng.next() % 2 != 0) t.detail = "multi word detail " +
                                         std::to_string(rng.next());
-    t.stale_read_bound = static_cast<std::uint32_t>(rng.next() % 100);
-    t.max_steps = rng.next() % 100000;
-    t.strengthen_to_sc = rng.next() % 2 != 0;
-    t.enable_sleep_sets = rng.next() % 2 != 0;
-    t.explore =
+    t.config.stale_read_bound = static_cast<std::uint32_t>(rng.next() % 100);
+    t.config.max_steps = rng.next() % 100000;
+    t.config.strengthen_to_sc = rng.next() % 2 != 0;
+    t.config.enable_sleep_sets = rng.next() % 2 != 0;
+    t.config.explore =
         rng.next() % 2 != 0 ? ExploreMode::kRf : ExploreMode::kSchedule;
     std::size_t n = rng.next() % 40;
     for (std::size_t i = 0; i < n; ++i) {
@@ -143,20 +143,26 @@ TEST(Trace, EveryTruncationIsRejectedWithActionableError) {
 
 TEST(Trace, VersionMismatchNamesBothVersions) {
   std::string text = render_trail(full_trail());
-  text.replace(text.find("v2"), 2, "v9");
+  text.replace(text.find("v3"), 2, "v9");
   TrailFile back;
   std::string err;
   EXPECT_FALSE(parse_trail(text, &back, &err));
-  EXPECT_NE(err.find("unsupported .trail version v9"), std::string::npos)
+  EXPECT_NE(err.find("unsupported version: 'cdsspec-trail v9'"),
+            std::string::npos)
       << err;
-  EXPECT_NE(err.find("v2"), std::string::npos) << err;
+  EXPECT_NE(err.find("v3"), std::string::npos) << err;
+  // A stale v2 trail (separate seed and explore lines) is refused by
+  // version, not misread.
+  text.replace(text.find("v9"), 2, "v2");
+  EXPECT_FALSE(parse_trail(text, &back, &err));
+  EXPECT_NE(err.find("'cdsspec-trail v2'"), std::string::npos) << err;
 }
 
 TEST(Trace, WrongMagicIsRejected) {
   TrailFile back;
   std::string err;
   EXPECT_FALSE(parse_trail("not-a-trail v1\nend\n", &back, &err));
-  EXPECT_NE(err.find("not a .trail file"), std::string::npos) << err;
+  EXPECT_NE(err.find("expected 'cdsspec-trail'"), std::string::npos) << err;
   EXPECT_FALSE(parse_trail("", &back, &err));
   EXPECT_NE(err.find("empty"), std::string::npos) << err;
 }
@@ -210,7 +216,7 @@ TEST(Trace, StressBackendTrailRoundTrips) {
   // the thread-major preemption decision stream (4 alternatives each).
   TrailFile t;
   t.test_name = "concurrent-hashmap#0";
-  t.seed = 0xBADC0DEull;
+  t.config.seed = 0xBADC0DEull;
   t.backend = "stress";
   t.kind = "spec-assertion";
   t.detail = "postcondition of get(1)=10 [T2] failed (S_RET=0)";
@@ -250,41 +256,61 @@ TEST(Trace, UnknownBackendTokenIsRejected) {
   EXPECT_NE(err.find("unknown backend 'quantum'"), std::string::npos) << err;
 }
 
-TEST(Trace, ExploreScheduleTokenNormalizesToAbsent) {
-  // "explore schedule" is accepted for symmetry but normalizes to the
-  // default, and the renderer only emits the line for rf trails — so
-  // schedule-mode trails stay byte-identical to pre-rf ones.
+TEST(Trace, ScheduleTrailCarriesExploreZero) {
+  // The mode is a row of the config line in both modes (explore=0 is
+  // schedule), so no mode is implied by an absent line.
   TrailFile t = full_trail();
-  t.explore = ExploreMode::kSchedule;
+  t.config.explore = ExploreMode::kSchedule;
   std::string text = render_trail(t);
-  EXPECT_EQ(text.find("explore"), std::string::npos) << text;
-  text.insert(text.find("config "), "explore schedule\n");
+  EXPECT_NE(text.find(" explore=0"), std::string::npos) << text;
   TrailFile back;
   std::string err;
   ASSERT_TRUE(parse_trail(text, &back, &err)) << err;
-  EXPECT_EQ(back.explore, ExploreMode::kSchedule);
+  EXPECT_EQ(back.config.explore, ExploreMode::kSchedule);
   expect_equal(t, back);
 }
 
 TEST(Trace, RfTrailCarriesExploreLine) {
   TrailFile t = full_trail();
   std::string text = render_trail(t);
-  EXPECT_NE(text.find("explore rf"), std::string::npos) << text;
+  EXPECT_NE(text.find(" explore=1"), std::string::npos) << text;
   TrailFile back;
   std::string err;
   ASSERT_TRUE(parse_trail(text, &back, &err)) << err;
-  EXPECT_EQ(back.explore, ExploreMode::kRf);
+  EXPECT_EQ(back.config.explore, ExploreMode::kRf);
 }
 
 TEST(Trace, UnknownExploreModeIsRejected) {
   std::string text = render_trail(full_trail());
-  std::size_t at = text.find("explore rf");
+  std::size_t at = text.find(" explore=1");
   ASSERT_NE(at, std::string::npos);
-  text.replace(at, 10, "explore povo");
+  text.replace(at, 10, " explore=7");
   TrailFile back;
   std::string err;
   EXPECT_FALSE(parse_trail(text, &back, &err));
-  EXPECT_NE(err.find("unknown explore mode"), std::string::npos) << err;
+  EXPECT_NE(err.find("out of range for 'explore'"), std::string::npos) << err;
+}
+
+TEST(Trace, ConfigLineKeysAreStrict) {
+  // The config line is the table's tree rows, each exactly once.
+  const std::string text = render_trail(full_trail());
+  auto reject = [&](const std::string& from, const std::string& to,
+                    const char* expect_msg) {
+    std::string bad = text;
+    std::size_t at = bad.find(from);
+    ASSERT_NE(at, std::string::npos) << from;
+    bad.replace(at, from.size(), to);
+    TrailFile back;
+    std::string err;
+    EXPECT_FALSE(parse_trail(bad, &back, &err)) << to;
+    EXPECT_NE(err.find(expect_msg), std::string::npos) << to << ": " << err;
+    EXPECT_EQ(err.rfind("line ", 0), 0u) << err;
+  };
+  reject(" stale=7", "", "missing key 'stale'");
+  reject(" stale=7", " stale=7 stale=7", "duplicate key 'stale'");
+  reject(" stale=7", " stale=4294967296", "out of range for 'stale'");
+  reject(" sleep_sets=0", " sleep_sets=2", "out of range for 'sleep_sets'");
+  reject(" max_steps=", " steps=", "unknown key 'steps'");
 }
 
 TEST(Trace, FileIoRoundTripsAndRejectsMissingFile) {
@@ -303,20 +329,25 @@ TEST(Trace, FileIoRoundTripsAndRejectsMissingFile) {
 TEST(Trace, FingerprintMismatchNamesTheFlag) {
   TrailFile t = full_trail();
   Config cfg;
-  t.apply_fingerprint(&cfg);
-  EXPECT_EQ(t.fingerprint_mismatch(cfg), "");
+  t.config.apply(&cfg);
+  EXPECT_EQ(t.config.mismatch(cfg), "");
   cfg.stale_read_bound = 99;
-  EXPECT_NE(t.fingerprint_mismatch(cfg).find("--stale"), std::string::npos);
-  t.apply_fingerprint(&cfg);
-  cfg.test_name = "other#0";
-  EXPECT_NE(t.fingerprint_mismatch(cfg).find("test mismatch"),
-            std::string::npos);
-  t.apply_fingerprint(&cfg);
+  EXPECT_NE(t.config.mismatch(cfg).find("--stale"), std::string::npos);
+  t.config.apply(&cfg);
+  cfg.max_steps = 1;
+  EXPECT_EQ(t.config.mismatch(cfg).rfind("max_steps mismatch", 0), 0u);
+  t.config.apply(&cfg);
   cfg.explore = ExploreMode::kSchedule;
-  std::string msg = t.fingerprint_mismatch(cfg);
+  std::string msg = t.config.mismatch(cfg);
   EXPECT_NE(msg.find("--explore"), std::string::npos) << msg;
   EXPECT_NE(msg.find("'rf'"), std::string::npos) << msg;
   EXPECT_NE(msg.find("'schedule'"), std::string::npos) << msg;
+  // Only tree-shaping rows are pinned: budgets may change between runs.
+  t.config.apply(&cfg);
+  cfg.max_executions = 5;
+  cfg.time_budget_seconds = 2.5;
+  EXPECT_EQ(t.config.mismatch(cfg), "");
+  EXPECT_EQ(ConfigFingerprint::from(cfg).mismatch(cfg), "");
 }
 
 }  // namespace

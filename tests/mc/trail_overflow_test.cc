@@ -65,7 +65,7 @@ TEST(TrailOverflow, SubtreeAndResumeAreMutuallyExclusive) {
         Engine e(cfg);
         Checkpoint cp;
         cp.phase = Checkpoint::Phase::kDfs;
-        cp.fingerprint_from(cfg);
+        cp.config = ConfigFingerprint::from(cfg);
         cp.trail.push_back(Choice{ChoiceKind::kSchedule, 0, 2});
         e.set_resume(std::move(cp));
         e.set_subtree({Choice{ChoiceKind::kSchedule, 0, 2}});

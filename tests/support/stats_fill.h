@@ -1,6 +1,6 @@
-// Test helpers over the stats tables (mc/stats.h, spec/checker.h): fill
-// every row generically and compare two structs row by row, so a test
-// covers a new row with no edit.
+// Test helpers over the stats and config tables (mc/stats.h,
+// mc/config.h, spec/checker.h): fill every row generically and compare two
+// structs row by row, so a test covers a new row with no edit.
 #ifndef CDS_TESTS_SUPPORT_STATS_FILL_H
 #define CDS_TESTS_SUPPORT_STATS_FILL_H
 
@@ -35,6 +35,30 @@ S distinct_fields(std::uint64_t pass) {
       v = static_cast<mc::Verdict>((k + pass) % 3);
     } else {
       v = 1000 * (pass + 1) + k;
+    }
+  });
+  return s;
+}
+
+// Every row moved off its default, each number distinct: booleans
+// negated, enumerations to their second value (or first, if that is the
+// default), numbers to 100 + row index, seconds to row + 0.25.
+template <class S>
+S non_default_fields() {
+  S s;
+  std::uint64_t k = 0;
+  S::each(s, [&](const char*, auto& v) {
+    using T = std::remove_reference_t<decltype(v)>;
+    using support::to_wire;
+    ++k;
+    if constexpr (std::is_same_v<T, bool>) {
+      v = !v;
+    } else if constexpr (std::is_enum_v<T>) {
+      v = static_cast<T>(to_wire(v) == 1 ? 0 : 1);
+    } else if constexpr (std::is_same_v<T, double>) {
+      v = static_cast<double>(k) + 0.25;
+    } else {
+      v = static_cast<T>(100 + k);
     }
   });
   return s;

@@ -73,18 +73,11 @@ void usage() {
       "exit codes: 0 all oracles agreed, 1 disagreement found, 2 usage\n");
 }
 
-// Strict: decimal digits that fit in 64 bits ("-3", "2x", "", " 5" fail).
+// Strict: decimal digits that fit in 64 bits ("-3", "2x", "", " 5" fail);
+// durations finite non-negative decimals ("nan", "inf", "0x10" fail).
 using cds::support::parse_u64;
 
-bool parse_double(const char* s, double* out) {
-  if (s == nullptr || *s == '\0' || *s == '-') return false;
-  errno = 0;
-  char* end = nullptr;
-  double v = std::strtod(s, &end);
-  if (errno != 0 || end == s || *end != '\0' || v < 0.0) return false;
-  *out = v;
-  return true;
-}
+using cds::support::parse_seconds;
 
 std::string json_escape(const std::string& s) {
   std::string out;
@@ -308,12 +301,12 @@ bool cross_backend_disagrees(const cds::fuzz::Program& p,
   tf.test_name = "litmus";
   tf.kind = "cross-backend";
   tf.detail = extra.front();
-  tf.seed = cfg.seed;
+  tf.config.seed = cfg.seed;
   std::uint64_t iseed = 0;
   std::vector<cds::mc::Choice> dec;
   if (find_stress_witness(p, ex.stress_iters, cfg.seed, extra.front(),
                           &iseed, &dec)) {
-    tf.seed = iseed;
+    tf.config.seed = iseed;
     tf.choices = std::move(dec);
   }
   std::string terr;
@@ -386,9 +379,10 @@ int replay_files(const std::vector<std::string>& files,
                          tpath.c_str(), tf.test_name.c_str());
           } else {
             cds::fuzz::OracleConfig rcfg = cfg;
-            rcfg.seed = tf.seed;
-            rcfg.stale_read_bound = tf.stale_read_bound;
-            rcfg.max_steps = tf.max_steps;
+            rcfg.seed = tf.config.seed;
+            rcfg.stale_read_bound = tf.config.stale_read_bound;
+            rcfg.max_steps = tf.config.max_steps;
+            rcfg.explore = tf.config.explore;
             std::string behavior, rerr;
             if (!cds::fuzz::replay_behavior(wp, rcfg, tf.choices, &behavior,
                                             &rerr)) {
@@ -464,7 +458,7 @@ int main(int argc, char** argv) {
     } else if (a == "--seed") {
       if (!parse_u64(value("--seed"), &base_seed)) return kExitUsage;
     } else if (a == "--timeout") {
-      if (!parse_double(value("--timeout"), &timeout)) return kExitUsage;
+      if (!parse_seconds(value("--timeout"), &timeout)) return kExitUsage;
     } else if (a == "--jobs") {
       std::uint64_t j = 0;
       if (!parse_u64(value("--jobs"), &j) || j == 0 || j > 256) {
@@ -629,9 +623,10 @@ int main(int argc, char** argv) {
         if (cds::fuzz::witness_trail(r.program, tcfg, d.oracle, &wt)) {
           cds::mc::TrailFile tf;
           tf.test_name = witness_test_name(wt);
-          tf.seed = tcfg.seed;
-          tf.stale_read_bound = tcfg.stale_read_bound;
-          tf.max_steps = tcfg.max_steps;
+          tf.config.seed = tcfg.seed;
+          tf.config.stale_read_bound = tcfg.stale_read_bound;
+          tf.config.max_steps = tcfg.max_steps;
+          tf.config.explore = tcfg.explore;
           tf.kind = cds::fuzz::to_string(d.oracle);
           tf.detail = wt.behavior;
           tf.choices = wt.choices;

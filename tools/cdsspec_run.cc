@@ -95,28 +95,18 @@ void usage() {
       "            (also replay divergence / resume mismatch), 3 inconclusive\n");
 }
 
-// Strict numeric parsing: the whole argument must be decimal digits
-// that fit in 64 bits. Rejects the silent garbage atoi accepts ("-3",
-// "2x", "", " 5").
-bool parse_u64(const char* s, std::uint64_t* out) {
-  return cds::support::parse_u64(s, out);
-}
-
-bool parse_double(const char* s, double* out) {
-  if (s == nullptr || *s == '\0' || *s == '-') return false;
-  errno = 0;
-  char* end = nullptr;
-  double v = std::strtod(s, &end);
-  if (errno != 0 || end == s || *end != '\0' || v < 0.0) return false;
-  *out = v;
-  return true;
-}
+// Strict numeric parsing: counts are decimal digits that fit in 64 bits,
+// durations finite non-negative decimals. Both reject the silent garbage
+// atoi and the C float parsers accept ("-3", "2x", "", " 5", "nan",
+// "inf", "0x10").
+using cds::support::parse_seconds;
+using cds::support::parse_u64;
 
 // Fetches the value of flag `name` at argv[i+1], parses it with `parse`,
 // and advances i. Prints usage and returns false on any failure.
 template <typename T>
 bool flag_value(int argc, char** argv, int* i, const char* name, T* out,
-                bool (*parse)(const char*, T*)) {
+                bool (*parse)(std::string_view, T*)) {
   if (*i + 1 >= argc) {
     std::fprintf(stderr, "cdsspec-run: %s requires a value\n", name);
     usage();
@@ -215,7 +205,7 @@ int replay_trail(const std::string& path) {
   if (tf.backend == "stress") {
     cds::harness::StressOptions sopts;
     cds::harness::StressBackend be(sopts);
-    be.run_iteration(b->tests[test_idx], tf.seed);
+    be.run_iteration(b->tests[test_idx], tf.config.seed);
     cds::spec::ObservedCheckResult oc = cds::spec::check_observed_calls(
         be.iteration_recorder().calls(), sopts.max_histories);
     if (oc.violation) {
@@ -229,7 +219,7 @@ int replay_trail(const std::string& path) {
     }
     std::printf("re-ran one stress iteration of %s under seed %llu\n",
                 tf.test_name.c_str(),
-                static_cast<unsigned long long>(tf.seed));
+                static_cast<unsigned long long>(tf.config.seed));
     const auto& vs = be.iteration_violations();
     if (!vs.empty()) {
       for (const auto& kv : vs) {
@@ -245,7 +235,8 @@ int replay_trail(const std::string& path) {
   }
 
   cds::mc::Config cfg;
-  tf.apply_fingerprint(&cfg);
+  tf.config.apply(&cfg);
+  cfg.test_name = tf.test_name;
   cfg.test_index = static_cast<std::uint32_t>(test_idx);
   cds::mc::Engine engine(cfg);
   cds::spec::SpecChecker::Options copts;
@@ -525,7 +516,7 @@ int main(int argc, char** argv) {
         wo.progress_interval_seconds = 2.0;
       } else if (a.rfind("--progress=", 0) == 0) {
         double secs = 0.0;
-        if (!parse_double(a.c_str() + 11, &secs) || secs <= 0.0) {
+        if (!parse_seconds(a.c_str() + 11, &secs) || secs <= 0.0) {
           std::fprintf(stderr,
                        "cdsspec-run: --progress wants a positive interval\n");
           return kExitUsage;
@@ -533,7 +524,7 @@ int main(int argc, char** argv) {
         wo.progress_interval_seconds = secs;
       } else if (a == "--connect-timeout") {
         if (!flag_value(argc, argv, &i, "--connect-timeout",
-                        &wo.connect_timeout_seconds, parse_double))
+                        &wo.connect_timeout_seconds, parse_seconds))
           return kExitUsage;
       } else {
         std::fprintf(stderr, "cdsspec-run: unknown --worker flag '%s'\n",
@@ -618,7 +609,7 @@ int main(int argc, char** argv) {
       opts.engine.stale_read_bound = static_cast<std::uint32_t>(v);
     } else if (a == "--timeout") {
       if (!flag_value(argc, argv, &i, "--timeout",
-                      &opts.engine.time_budget_seconds, parse_double))
+                      &opts.engine.time_budget_seconds, parse_seconds))
         return kExitUsage;
       have_timeout = true;
     } else if (a == "--mem-cap") {
@@ -650,7 +641,7 @@ int main(int argc, char** argv) {
       opts.engine.progress_interval_seconds = 2.0;
     } else if (a.rfind("--progress=", 0) == 0) {
       double secs = 0.0;
-      if (!parse_double(a.c_str() + 11, &secs) || secs <= 0.0) {
+      if (!parse_seconds(a.c_str() + 11, &secs) || secs <= 0.0) {
         std::fprintf(stderr,
                      "cdsspec-run: --progress wants a positive interval in "
                      "seconds, not '%s'\n",
@@ -729,7 +720,7 @@ int main(int argc, char** argv) {
         return kExitUsage;
     } else if (a == "--lease-secs") {
       if (!flag_value(argc, argv, &i, "--lease-secs", &lease_secs,
-                      parse_double))
+                      parse_seconds))
         return kExitUsage;
       if (lease_secs <= 0.0) {
         std::fprintf(stderr, "cdsspec-run: --lease-secs must be positive\n");
@@ -862,7 +853,7 @@ int main(int argc, char** argv) {
                    "starting fresh\n",
                    opts.engine.checkpoint_path.c_str(), err.c_str());
     } else {
-      std::string mismatch = resume_cp.fingerprint_mismatch(opts.engine);
+      std::string mismatch = resume_cp.config.mismatch(opts.engine);
       if (!mismatch.empty()) {
         std::fprintf(stderr,
                      "cdsspec-run: checkpoint '%s' was recorded under "
@@ -1052,10 +1043,10 @@ int main(int argc, char** argv) {
       } else {
         const auto& [ti, v] = found.front();
         cds::mc::TrailFile tf;
-        tf.fingerprint_from(opts.engine);
+        tf.config = cds::mc::ConfigFingerprint::from(opts.engine);
         tf.backend = "stress";
         tf.test_name = b->name + "#" + std::to_string(ti);
-        tf.seed = v.iter_seed;
+        tf.config.seed = v.iter_seed;
         tf.kind = cds::mc::wire_name(v.kind);
         tf.detail = v.detail;
         tf.inject_site = injected_site_name;
@@ -1189,12 +1180,10 @@ int main(int argc, char** argv) {
 
   // Persist a one-execution repro of the found violation. Crashes win the
   // tie-break: a contained SIGSEGV is the finding most worth replaying
-  // under a debugger. Violations restored from a checkpoint carry no trail
-  // and are skipped.
+  // under a debugger.
   if (!trail_out.empty()) {
     const cds::mc::Violation* pick = nullptr;
     for (const auto& v : r.violations) {
-      if (v.trail.empty()) continue;
       if (pick == nullptr || (v.kind == cds::mc::ViolationKind::kCrash &&
                               pick->kind != cds::mc::ViolationKind::kCrash)) {
         pick = &v;
@@ -1202,11 +1191,11 @@ int main(int argc, char** argv) {
     }
     if (pick == nullptr) {
       std::fprintf(stderr,
-                   "cdsspec-run: --trail-out: no violation with a recorded "
-                   "trail this run; nothing written\n");
+                   "cdsspec-run: --trail-out: no violation recorded this "
+                   "run; nothing written\n");
     } else {
       cds::mc::TrailFile tf;
-      tf.fingerprint_from(opts.engine);
+      tf.config = cds::mc::ConfigFingerprint::from(opts.engine);
       tf.test_name = b->name + "#" + std::to_string(pick->test_index);
       tf.kind = cds::mc::wire_name(pick->kind);
       tf.detail = pick->detail;
@@ -1237,16 +1226,11 @@ int main(int argc, char** argv) {
 
   // Chrome trace-event export: one timeline row per modeled thread from a
   // replayed execution, plus exploration-phase spans. The interesting
-  // execution is the first violation carrying a trail; a clean run renders
-  // the first unit test's first execution instead.
+  // execution is the first violation; a clean run renders the first unit
+  // test's first execution instead.
   if (!trace_out.empty()) {
-    const cds::mc::Violation* pick = nullptr;
-    for (const auto& v : r.violations) {
-      if (!v.trail.empty()) {
-        pick = &v;
-        break;
-      }
-    }
+    const cds::mc::Violation* pick =
+        r.violations.empty() ? nullptr : &r.violations.front();
     const std::size_t ti = pick != nullptr ? pick->test_index : 0;
     cds::mc::Config cfg = opts.engine;
     cfg.collect_trace = true;
