@@ -11,6 +11,8 @@
 #include "harness/runner.h"
 #include "harness/shard_result.h"
 #include "mc/checkpoint.h"
+#include "mc/trace.h"
+#include "support/rng.h"
 #include "support/stats_fill.h"
 
 namespace cds {
@@ -112,6 +114,68 @@ TEST(ShardResult, MergeSumsRfCountersExactly) {
   }
   EXPECT_EQ(total.rf_infeasible, want_infeasible);
   EXPECT_TRUE(total.exhausted);
+}
+
+// The three multi-line formats read through support::LineReader, fuzzed
+// once: byte flips and truncations of a valid rendering must be rejected
+// with a "line N:" diagnostic or parse, never crash (run it under ASan).
+TEST(ShardResult, EveryLineFormatSurvivesByteFlipsAndTruncation) {
+  mc::TrailFile t;
+  t.test_name = "ms-queue#1";
+  t.kind = "spec-assertion";
+  t.detail = "two\nlines \\ here";
+  t.choices = {mc::Choice{mc::ChoiceKind::kSchedule, 1, 2},
+               mc::Choice{mc::ChoiceKind::kReadsFrom, 0, 3}};
+  mc::Checkpoint cp;
+  cp.test_name = "ms-queue#1";
+  cp.phase = mc::Checkpoint::Phase::kDfs;
+  cp.violations = full_result().violations;
+  cp.extra.emplace_back("prior.executions", 3);
+  cp.trail = t.choices;
+  struct Format {
+    std::string text;
+    bool (*parse)(const std::string&, std::string*);
+  };
+  const Format formats[] = {
+      {mc::render_trail(t),
+       [](const std::string& x, std::string* err) {
+         mc::TrailFile out;
+         return mc::parse_trail(x, &out, err);
+       }},
+      {mc::render_checkpoint(cp),
+       [](const std::string& x, std::string* err) {
+         mc::Checkpoint out;
+         return mc::parse_checkpoint(x, &out, err);
+       }},
+      {harness::render_shard_result(full_result()),
+       [](const std::string& x, std::string* err) {
+         harness::ShardResult out;
+         return harness::parse_shard_result(x, &out, err);
+       }},
+  };
+  support::Xorshift64 rng(0xf1a9f1a9);
+  for (const Format& f : formats) {
+    std::string err;
+    ASSERT_TRUE(f.parse(f.text, &err)) << err;
+    for (int trial = 0; trial < 2000; ++trial) {
+      std::string m = f.text;
+      const int flips = 1 + static_cast<int>(rng.below(3));
+      for (int k = 0; k < flips; ++k) {
+        const std::size_t pos = static_cast<std::size_t>(rng.below(m.size()));
+        m[pos] = static_cast<char>(m[pos] ^ (1u << rng.below(8)));
+      }
+      err.clear();
+      if (!f.parse(m, &err)) {
+        EXPECT_EQ(err.rfind("line ", 0), 0u) << err;
+      }
+    }
+    // Every proper prefix fails, except the one that drops only the
+    // final newline.
+    for (std::size_t cut = 0; cut + 1 < f.text.size(); ++cut) {
+      EXPECT_FALSE(f.parse(f.text.substr(0, cut), &err))
+          << "prefix of " << cut << " bytes parsed";
+    }
+  }
 }
 
 // Every row, filled with distinct values, through every codec the tables
