@@ -248,11 +248,18 @@ struct Config {
   }
 };
 
+// Config's defaults, built once (a ConfigFingerprint starts from them).
+inline const Config& default_config() {
+  static const Config c;
+  return c;
+}
+
 #define CDS_CONFIG_IF_flag(...) __VA_ARGS__
 #define CDS_CONFIG_IF_tree(...) __VA_ARGS__
 #define CDS_CONFIG_IF_run(...)
 #define CDS_CONFIG_FP_MEMBER(member, key, shape) \
-  CDS_CONFIG_IF_##shape(decltype(Config::member) member = Config{}.member;)
+  CDS_CONFIG_IF_##shape(                         \
+      decltype(Config::member) member = default_config().member;)
 #define CDS_CONFIG_FP_ZIP(member, key, shape) \
   CDS_CONFIG_IF_##shape(f(key, #shape, a.member, b.member);)
 
