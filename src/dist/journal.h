@@ -12,8 +12,8 @@
 // function of the journaled frontier), so the resumed run's verdict and
 // merged counters are bit-identical to an uninterrupted one.
 //
-// Format (line-oriented; one record per line; `<esc>` = harness
-// escape_line, so multi-line payloads ride on a single line):
+// Format (line-oriented; one record per line; `<esc>` =
+// support::escape_line, so multi-line payloads ride on a single line):
 //
 //   cdsspec-journal v2
 //   run epoch=<e> shards=<n> planhash=<8hex> fingerprint=<8hex> bench=<esc> #crc=<8hex>

@@ -29,7 +29,6 @@
 // variant (test-only): the run must then FIND disagreements; used by the
 // self-validation tests to prove the oracles have teeth.
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>

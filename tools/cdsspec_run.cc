@@ -41,7 +41,6 @@
 // Exit codes: 0 verified-exhaustive, 1 violation found, 2 usage error
 //             (also: replay divergence, resume fingerprint mismatch),
 //             3 inconclusive (budget/cap hit; sampled without a finding).
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
